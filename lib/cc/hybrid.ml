@@ -1,30 +1,11 @@
 open Weihl_event
 module Seq_spec = Weihl_spec.Seq_spec
 
-type version = {
-  cts : Timestamp.t;
-  ops : (Operation.t * Value.t) list; (* the update's installed intentions *)
-}
-
 let make ?(unsafe_forget_contended_commit = false) log id spec ~conflict
     ~read_only_op : Atomic_object.t =
   let olog = Obj_log.create log id in
   let store = Intentions.create spec in
-  let versions : version list ref = ref [] (* ascending cts *) in
-  let frontier_before ts =
-    List.fold_left
-      (fun f v ->
-        if Timestamp.compare v.cts ts < 0 then
-          List.fold_left
-            (fun f (op, res) ->
-              match f with
-              | None -> None
-              | Some f -> Seq_spec.advance f op res)
-            f v.ops
-        else f)
-      (Some (Seq_spec.start spec))
-      !versions
-  in
+  let versions = Version_chain.create spec in
   let invoke_read_only txn op =
     if not (read_only_op op) then begin
       Obj_log.dropped olog txn;
@@ -53,7 +34,7 @@ let make ?(unsafe_forget_contended_commit = false) log id spec ~conflict
         with
         | _ :: _ as bs -> Atomic_object.Wait bs
         | [] -> (
-        match frontier_before ts with
+        match Version_chain.frontier_before versions ts with
         | None -> invalid_arg "Hybrid: version log no longer replays"
         | Some f -> (
           match Seq_spec.outcomes f op with
@@ -103,10 +84,11 @@ let make ?(unsafe_forget_contended_commit = false) log id spec ~conflict
       in
       (match Txn.commit_ts txn with
       | Some cts ->
-        if
-          ops <> []
-          && not (unsafe_forget_contended_commit && contended)
-        then versions := !versions @ [ { cts; ops } ]
+        if ops <> [] && not (unsafe_forget_contended_commit && contended)
+        then (
+          match Version_chain.insert versions ~ts:cts ops with
+          | Ok () -> ()
+          | Error msg -> invalid_arg ("Hybrid.commit: " ^ msg))
       | None ->
         if ops <> [] then
           invalid_arg "Hybrid.commit: update committed without a timestamp");

@@ -7,8 +7,13 @@
     update commits, the transaction manager has already assigned it a
     commit timestamp from a monotone Lamport clock — guaranteeing the
     timestamp order of updates is consistent with [precedes] — and the
-    object archives the update's intentions as a version stamped with
-    that timestamp.
+    object inserts the update's intentions, stamped with that
+    timestamp, into its {!Version_chain}.  Commit is an amortized O(1)
+    sorted insert; a read-only query is a binary search plus a fold
+    from the nearest memoized frontier, not a fold of every version.
+    The chain is never folded: without a global low-water mark, a
+    read-only activity with any older initiation timestamp may still
+    arrive.
 
     A read-only transaction with initiation timestamp [t] evaluates its
     queries against the state produced by exactly the committed updates
@@ -35,8 +40,8 @@ val make :
     refused.
 
     [unsafe_forget_contended_commit] exists for the lint self-test
-    only: it drops the version archive when an update commits while
-    another update's intentions are outstanding.  No two-transaction
+    only: it leaves the committing update's version out of the version
+    chain when another update's intentions are outstanding.  No two-transaction
     schedule can observe the loss — it takes a {e later} reader after
     a {e contended} commit, which is exactly the three-transaction
     shape the certifier's hybrid triple probes build. *)

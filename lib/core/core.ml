@@ -105,6 +105,7 @@ module Derived_locking = Weihl_cc.Derived_locking
 module Multiversion = Weihl_cc.Multiversion
 module Hybrid = Weihl_cc.Hybrid
 module Hybrid_account = Weihl_cc.Hybrid_account
+module Version_chain = Weihl_cc.Version_chain
 module Recovery = Weihl_cc.Recovery
 module Wal = Weihl_cc.Wal
 module Checkpoint = Weihl_cc.Checkpoint

@@ -74,6 +74,14 @@ let to_list h =
     l
 
 let length h = h.len
+
+let suffix h ~from =
+  let rec go n rev acc =
+    match rev with
+    | e :: tl when n > 0 -> go (n - 1) tl (e :: acc)
+    | _ -> acc
+  in
+  go (h.len - max 0 from) h.rev []
 let equal h k = h.len = k.len && List.equal Event.equal h.rev k.rev
 
 (* --- projection / membership index ------------------------------- *)

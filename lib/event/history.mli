@@ -25,6 +25,13 @@ val to_list : t -> Event.t list
 (** [to_list h] is the event sequence in temporal order (head first). *)
 
 val length : t -> int
+
+val suffix : t -> from:int -> Event.t list
+(** [suffix h ~from] is the events at positions [from .. length h - 1]
+    in temporal order.  Walks only those [length h - from] events, so a
+    reader that remembers how far it got pays for the new events alone.
+    [from <= 0] gives the whole history. *)
+
 val equal : t -> t -> bool
 
 val project_object : Object_id.t -> t -> t

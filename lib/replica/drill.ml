@@ -9,7 +9,7 @@ module Gtxn = Weihl_shard.Gtxn
 module Sharded_driver = Weihl_shard.Sharded_driver
 module Shard_harness = Weihl_shard.Shard_harness
 
-(* Snapshot reads need initiation timestamps, so the drill runs the
+(* As-of reads need initiation timestamps, so the drill runs the
    timestamp-policy banking protocols only.  The commit-order protocols
    are covered by the equivalence property instead. *)
 let protocols = List.filter_map Fh.find_protocol [ "hybrid"; "multiversion" ]
@@ -46,12 +46,12 @@ type report = {
   results : schedule_report list;
 }
 
-(* A replica-served read retained for the end-of-run audit. *)
+(* A served read retained for the end-of-run audit. *)
 type recorded_read = {
   r_ts : int;
   r_steps : (Object_id.t * Operation.t) list;
   r_values : (Object_id.t * Operation.t * Value.t) list;
-  r_replica : int;
+  r_serve : Tier.serve;
 }
 
 let is_update (txn : Projection.txn) =
@@ -65,66 +65,87 @@ let shard_committed group s =
   |> List.filter is_update
 
 (* ------------------------------------------------------------------ *)
-(* The independent stale-read auditor.
+(* The replay oracle and the independent stale-read auditor. *)
 
-   A replica-served read at timestamp T claimed the committed state as
-   of T.  The as-of-T projection is time-invariant — every later commit
-   draws a later timestamp, and in-doubt legs with an agreed earlier
-   timestamp are excluded from the serving mark — so re-executing the
-   read against the final primary state filtered to [ts <= T] must
-   reproduce the recorded values exactly.  This auditor shares no code
-   with the tier's serving path beyond {!Projection}. *)
-
-let audit_read group (proto : Fh.protocol) seq (r : recorded_read) =
-  let shards =
-    List.sort_uniq compare
-      (List.map (fun (x, _) -> Group.shard_of group x) r.r_steps)
-  in
-  let events =
-    List.concat_map
-      (fun s -> History.to_list (Cc.System.history (Group.system group s)))
-      shards
-  in
+let replay_read group ~make_object ~events ~ts steps =
   let sys = Cc.System.create ~policy:(Group.policy group) () in
   List.iter
-    (fun (x, _) ->
-      Cc.System.add_object sys (proto.Fh.make_object (Cc.System.log sys) x))
+    (fun (x, _) -> Cc.System.add_object sys (make_object (Cc.System.log sys) x))
     (Group.objects group);
   let keep (txn : Projection.txn) =
     match txn.Projection.ts with
-    | Some ts -> Timestamp.to_int ts <= r.r_ts
+    | Some t -> Timestamp.to_int t <= ts
     | None -> false
   in
   let h = Projection.updates_history ~keep events in
   match Cc.Recovery.replay Cc.Recovery.Timestamp_order sys h with
-  | Error f -> Some (Fmt.str "audit replay: %a" Cc.Recovery.pp_failure f)
-  | Ok _ -> (
-    let a = Activity.read_only (Fmt.str "audit%d" seq) in
-    let txn = Cc.System.begin_txn ~ts:(Timestamp.v r.r_ts) sys a in
+  | Error f -> Error (Fmt.str "replay: %a" Cc.Recovery.pp_failure f)
+  | Ok _ ->
+    let a = Activity.read_only (Fmt.str "oracle%d" ts) in
+    let txn = Cc.System.begin_txn ~ts:(Timestamp.v ts) sys a in
     let rec go acc = function
-      | [] -> Ok (List.rev acc)
+      | [] ->
+        Cc.System.commit sys txn;
+        Ok (List.rev acc)
       | (x, op) :: more -> (
         match Cc.System.invoke sys txn x op with
         | Cc.Atomic_object.Granted v -> go ((x, op, v) :: acc) more
         | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ ->
-          Error "audit read did not run to completion")
+          Error "replayed read did not run to completion")
     in
-    match go [] r.r_steps with
-    | Error msg -> Some msg
-    | Ok expected ->
-      Cc.System.commit sys txn;
-      if
-        List.length expected = List.length r.r_values
-        && List.for_all2
-             (fun (x, op, v) (x', op', v') ->
-               Object_id.equal x x' && Operation.equal op op'
-               && Value.equal v v')
-             expected r.r_values
-      then None
-      else
-        Some
-          (Fmt.str "replica %d served stale state at ts %d" r.r_replica
-             r.r_ts))
+    go [] steps
+
+let same_values xs ys =
+  List.length xs = List.length ys
+  && List.for_all2
+       (fun (x, op, v) (x', op', v') ->
+         Object_id.equal x x' && Operation.equal op op' && Value.equal v v')
+       xs ys
+
+let shard_events group s =
+  History.to_list (Cc.System.history (Group.system group s))
+
+let touched group steps =
+  List.sort_uniq compare (List.map (fun (x, _) -> Group.shard_of group x) steps)
+
+let serve_name = function
+  | Tier.Served_replica i -> Fmt.str "replica %d" i
+  | Tier.Served_primary -> "the primary"
+
+(* Re-execute a recorded read by replaying [events]; [None] when the
+   replay reproduces the recorded values. *)
+let recheck group (proto : Fh.protocol) ~events ~what (r : recorded_read) =
+  match
+    replay_read group ~make_object:proto.Fh.make_object ~events ~ts:r.r_ts
+      r.r_steps
+  with
+  | Error msg -> Some msg
+  | Ok expected ->
+    if same_values expected r.r_values then None
+    else Some (Fmt.str "%s %s at ts %d" (serve_name r.r_serve) what r.r_ts)
+
+(* A read served at timestamp T claimed the committed state as of T.
+   The as-of-T projection is time-invariant — every later commit draws
+   a later timestamp, and in-doubt legs with an agreed earlier
+   timestamp are excluded from the serving mark, on a replica and on a
+   primary bounce alike — so re-executing the read against the final
+   primary state filtered to [ts <= T] must reproduce the recorded
+   values exactly.  This auditor shares no code with the tier's
+   serving path beyond {!Projection}. *)
+let audit_read group proto (r : recorded_read) =
+  recheck group proto r ~what:"served stale state"
+    ~events:(List.concat_map (shard_events group) (touched group r.r_steps))
+
+(* The differential check, at serve time: the tier's chain answer must
+   equal a replay of the very log it was served from. *)
+let check_against_replay group tier proto (r : recorded_read) =
+  let log s =
+    match r.r_serve with
+    | Tier.Served_replica i -> Tier.replica_events tier ~replica:i ~shard:s
+    | Tier.Served_primary -> shard_events group s
+  in
+  recheck group proto r ~what:"answered differently from a replay of its log"
+    ~events:(List.concat_map log (touched group r.r_steps))
 
 (* ------------------------------------------------------------------ *)
 
@@ -170,17 +191,16 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
         match Tier.read tier steps with
         | Ok o ->
           if o.Tier.bounced then incr bounced;
-          (match o.Tier.serve with
-          | Tier.Served_replica i ->
-            recorded :=
-              {
-                r_ts = o.Tier.read_ts;
-                r_steps = steps;
-                r_values = o.Tier.values;
-                r_replica = i;
-              }
-              :: !recorded
-          | Tier.Served_primary -> ())
+          let r =
+            {
+              r_ts = o.Tier.read_ts;
+              r_steps = steps;
+              r_values = o.Tier.values;
+              r_serve = o.Tier.serve;
+            }
+          in
+          Option.iter note (check_against_replay group tier proto r);
+          recorded := r :: !recorded
         | Error msg ->
           if
             String.length msg >= 11 && String.sub msg 0 11 = "unavailable"
@@ -318,9 +338,9 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
           note (Fmt.str "replica %d diverges from shard %d: %s" i s msg)
     done
   done;
-  List.iteri
-    (fun seq r ->
-      match audit_read group proto seq r with
+  List.iter
+    (fun r ->
+      match audit_read group proto r with
       | None -> ()
       | Some msg ->
         incr stale;
@@ -331,7 +351,9 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
     d_protocol = proto.Fh.name;
     d_committed = !committed;
     d_reads = !reads;
-    d_replica_served = List.length !recorded;
+    d_replica_served =
+      List.length
+        (List.filter (fun r -> r.r_serve <> Tier.Served_primary) !recorded);
     d_bounced = !bounced;
     d_unavailable = !unavailable;
     d_lost = !lost;

@@ -3,7 +3,7 @@
 
     One schedule = one {!Weihl_fault.Shard_plan.t} applied to a
     timestamp-policy banking protocol (hybrid or multiversion — the
-    tier's snapshot reads need initiation timestamps) over a fresh
+    tier's as-of reads need initiation timestamps) over a fresh
     group with a replica tier on top:
 
     + slice 1 — seeded multi-client traffic with the plan's 2PC fault
@@ -12,8 +12,10 @@
       down is brought back by {e promotion} ({!Tier.fail_over}), not
       plain recovery, and the blocking window is resolved from the
       decision log;
-    + snapshot reads through the tier between slices, every outcome
-      recorded;
+    + as-of reads through the tier between slices, every outcome
+      recorded and checked at once against {!replay_read} over the log
+      it was served from (the serving replica's, or the primary's on a
+      bounce) — the differential check of the chain read path;
     + the plan's replica fault is staged (lag, crash, partition, or
       in-flight segment damage) and slice 2 runs under it;
     + a seeded live shard is then crashed and failed over — its
@@ -26,27 +28,45 @@
     verification, the pre-crash committed set's survival, the group's
     own global-atomicity checks ({!Weihl_shard.Shard_harness.run_checks}),
     every replica's final projection against its shard's primary, and
-    every replica-served read re-executed against the final as-of state
-    — a replica that ever served a stale value is caught here even if
-    nothing else noticed. *)
+    every served read — replica-served and bounced to the primary alike
+    — re-executed against the final as-of state: a read that ever
+    returned a stale value is caught here even if nothing else
+    noticed. *)
 
+open Weihl_event
 module Shard_plan = Weihl_fault.Shard_plan
 module Fh = Weihl_fault.Harness
 
 val protocols : Fh.protocol list
 (** The timestamp-policy banking protocols (hybrid, multiversion). *)
 
+val replay_read :
+  Weihl_shard.Group.t ->
+  make_object:(Weihl_cc.Event_log.t -> Object_id.t -> Weihl_cc.Atomic_object.t) ->
+  events:Event.t list ->
+  ts:int ->
+  (Object_id.t * Operation.t) list ->
+  ((Object_id.t * Operation.t * Value.t) list, string) result
+(** The replay oracle for a read at [ts]: a fresh system holding every
+    object of the group, rebuilt by {!Weihl_cc.Recovery.replay} from
+    the committed updates of [events] with timestamp [<= ts], then the
+    read run on it as a read-only transaction at [ts].  Slow — it
+    replays the whole stream — and independent of the tier's version
+    chains, which is what makes it an oracle for them. *)
+
 type schedule_report = {
   d_plan : Shard_plan.t;
   d_protocol : string;
   d_committed : int;  (** update commits across all traffic slices *)
-  d_reads : int;  (** snapshot reads issued through the tier *)
+  d_reads : int;  (** as-of reads issued through the tier *)
   d_replica_served : int;
   d_bounced : int;  (** stale-detected reads the primary answered *)
   d_unavailable : int;
       (** reads no one could serve (primary down, replica behind) *)
   d_lost : int;  (** committed transactions missing after a promotion *)
-  d_stale : int;  (** replica-served reads that returned early state *)
+  d_stale : int;
+      (** served reads (replica or primary bounce) that returned early
+          state *)
   d_promotions : int;
   d_resyncs : int;
   d_damaged : int;  (** damaged segments detected on the channel *)

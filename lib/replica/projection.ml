@@ -24,7 +24,7 @@ let as_of t txns =
       match txn.ts with Some ts -> Timestamp.to_int ts <= t | None -> false)
     txns
 
-(* The snapshot sub-history: every event of a kept committed update
+(* The as-of sub-history: every event of a kept committed update
    transaction, in stream order.  Replaying it with [Recovery.replay]
    reinstates the logged initiation and commit timestamps, so a
    timestamped read executed on top sits correctly relative to the

@@ -4,8 +4,9 @@
     answer anything it must turn that stream back into "which
     transactions committed, with which operations, as of which
     timestamp".  This module is that reconstruction, shared by the
-    apply loop (snapshot serving), the failover drill (lost-commit
-    accounting) and the equivalence property.
+    failover drill (lost-commit accounting and the replay oracle its
+    read checks use), promotion verification and the equivalence
+    property.
 
     The timestamp attached to each transaction is its {e serialization}
     timestamp — the commit timestamp for updates, the initiation
@@ -35,8 +36,8 @@ val as_of : int -> txn list -> txn list
 val updates_history : keep:(txn -> bool) -> Event.t list -> History.t
 (** The sub-history containing exactly the events of the committed
     update transactions selected by [keep] — what
-    {!Cc.Recovery.replay} rebuilds a snapshot from, with every logged
-    timestamp reinstated. *)
+    {!Cc.Recovery.replay} rebuilds an as-of state from, with every
+    logged timestamp reinstated. *)
 
 val equal_txn : txn -> txn -> bool
 

@@ -17,15 +17,26 @@ type msg =
   | Resync of { replica : int; shard : int; epoch : int; from_pos : int }
 
 (* Per-replica, per-shard apply state.  [events_rev] is the replica's
-   durable local log (survives a replica crash); [hwm] is segment
-   metadata and does not (a restarted replica serves nothing until a
-   fresh segment re-establishes the mark). *)
+   durable local log (survives a replica crash); [chains] is the
+   committed state materialized from it, which reads are served from;
+   [hwm] is segment metadata and does not survive (a restarted replica
+   serves nothing until a fresh segment re-establishes the mark). *)
 type rstate = {
   mutable pos : int;  (** next expected absolute record position *)
   mutable events_rev : Event.t list;  (** applied events, newest first *)
+  mutable chains : Chains.t;
   mutable hwm : int;  (** high-water mark; -1 = no mark this epoch *)
   mutable repoch : int;
   mutable applied_segments : int;
+}
+
+(* The primary fallback's chains for one shard, fed incrementally from
+   the live history of the incarnation [sys]; a recovered or promoted
+   shard is a new system, and its chains start over. *)
+type pstate = {
+  mutable sys : Cc.System.t option;
+  mutable fed : int;  (** history events already applied *)
+  mutable pchains : Chains.t;
 }
 
 type serve = Served_replica of int | Served_primary
@@ -49,12 +60,13 @@ type promotion = {
 
 type t = {
   group : Group.t;
-  make_object : Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t;
+  spec_of : Object_id.t -> Weihl_spec.Seq_spec.t;
   replicas : int;
   stale : stale_policy;
   segment_records : int;
   mutable sim : msg Msim.t;
   states : rstate array array;  (** [replica].[shard] *)
+  primary : pstate array;  (** per shard *)
   acked : int array array;  (** [replica].[shard] feed-side resume point *)
   epochs : int array;  (** per shard *)
   down : bool array;  (** per replica *)
@@ -62,7 +74,6 @@ type t = {
   crash_texts : string option array;  (** durable WAL held for failover *)
   mutable damage_pending : int;
   mutable rr : int;
-  mutable read_seq : int;
   mutable n_promotions : int;
   mutable n_resyncs : int;
   mutable n_fenced : int;
@@ -72,23 +83,66 @@ type t = {
   n_reads_at : int array;
   mutable n_reads_primary : int;
   mutable n_reads_waited : int;
+  mutable n_rebuilds : int;
+  mutable retired_advances : int;
+      (** spec advances of chains since discarded *)
   metrics : Sm.t option;
 }
 
 let group t = t.group
 let replica_count t = t.replicas
 
-let fresh_state epoch =
-  { pos = 0; events_rev = []; hwm = -1; repoch = epoch; applied_segments = 0 }
+(* Each object's specification, from the constructor the group
+   registered it with — all the tier needs [make_object] for. *)
+let memo_spec_of make_object =
+  let specs = Hashtbl.create 16 in
+  fun x ->
+    match Hashtbl.find_opt specs x with
+    | Some spec -> spec
+    | None ->
+      let spec = (make_object (Cc.Event_log.create ()) x).Cc.Atomic_object.spec in
+      Hashtbl.replace specs x spec;
+      spec
+
+let fresh_chains t = Chains.create ~spec_of:t.spec_of
+
+let retire t chains =
+  t.retired_advances <- t.retired_advances + Chains.advances chains
+
+let fresh_state chains epoch =
+  { pos = 0; events_rev = []; chains; hwm = -1; repoch = epoch; applied_segments = 0 }
+
+let reset_state t st epoch =
+  retire t st.chains;
+  st.pos <- 0;
+  st.events_rev <- [];
+  st.chains <- fresh_chains t;
+  st.hwm <- -1;
+  st.repoch <- epoch;
+  st.applied_segments <- 0
+
+(* Materialize [events] (in stream order) into fresh chains.  Nothing
+   is folded yet, so no insert can fail. *)
+let chains_of_events t events =
+  let c = fresh_chains t in
+  List.iter (fun e -> ignore (Chains.apply c e)) events;
+  c
+
+(* A commit below a folded mark — impossible while every commit that
+   arrives after a read carries a timestamp above the mark that
+   certified it, but possible under the static policy, whose updates
+   keep their initiation timestamp — rebuilds the chains once from the
+   whole stream so far, unfolded, so an answer never differs from a
+   replay of the same log. *)
+let rebuild t chains events =
+  t.n_rebuilds <- t.n_rebuilds + 1;
+  retire t chains;
+  chains_of_events t events
 
 let state t ~replica ~shard =
   if replica < 0 || replica >= t.replicas then
     invalid_arg "Tier: replica out of range";
   t.states.(replica).(shard)
-
-let rec take n = function
-  | x :: tl when n > 0 -> x :: take (n - 1) tl
-  | _ -> []
 
 let rec drop_n n = function
   | _ :: tl when n > 0 -> drop_n (n - 1) tl
@@ -143,10 +197,11 @@ let corrupt_text text =
 let send_to t i s =
   if not (Group.shard_crashed t.group s) then begin
     let w = watermark t s in
-    let records = Group.shard_records t.group s in
-    let len = List.length records in
+    let len = Group.shard_record_count t.group s in
     let from = min t.acked.(i).(s) len in
-    let slice = take t.segment_records (drop_n from records) in
+    let slice =
+      Group.shard_records_from t.group s ~pos:from ~max:t.segment_records
+    in
     let reaches_end = from + List.length slice = len in
     let text = Cc.Wal.segment ~label:(shard_label s) ~base:from slice in
     let text =
@@ -194,10 +249,14 @@ let trace_apply t ~replica ~shard ~records ~hwm =
           ("hwm", St.num hwm);
         ]
 
-let apply_records st records =
+let apply_records t st records =
   List.iter
     (function
-      | Cc.Wal.Event e -> st.events_rev <- e :: st.events_rev
+      | Cc.Wal.Event e -> (
+        st.events_rev <- e :: st.events_rev;
+        match Chains.apply st.chains e with
+        | Ok () -> ()
+        | Error _ -> st.chains <- rebuild t st.chains (List.rev st.events_rev))
       | Cc.Wal.Control _ -> ())
     records;
   st.pos <- st.pos + List.length records
@@ -219,13 +278,7 @@ let on_replica t i = function
     else begin
       (* A segment from a newer incarnation: the old stream is gone —
          adopt the epoch and resync from zero. *)
-      if epoch > st.repoch then begin
-        st.repoch <- epoch;
-        st.pos <- 0;
-        st.events_rev <- [];
-        st.hwm <- -1;
-        st.applied_segments <- 0
-      end;
+      if epoch > st.repoch then reset_state t st epoch;
       let advance_hwm ~upto =
         (* [upto] is the feed's end at cut time: once the replica holds
            that prefix, the watermark's certificate transfers to it. *)
@@ -243,7 +296,7 @@ let on_replica t i = function
       in
       match Cc.Wal.decode_segment ~expected_base:st.pos text with
       | Ok records ->
-        apply_records st records;
+        apply_records t st records;
         applied (List.length records) st.pos
       | Error _ -> (
         (* Not an exact splice.  An intact segment may still be a pure
@@ -262,7 +315,7 @@ let on_replica t i = function
             ack t i s st
           end
           else begin
-            apply_records st (drop_n (st.pos - b) records);
+            apply_records t st (drop_n (st.pos - b) records);
             applied (e - b) st.pos
           end
         | Ok (_, Cc.Wal.Torn _) | Error _ ->
@@ -288,16 +341,21 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
       ~handler:(fun sim ~node msg -> !handler sim ~node msg)
       ()
   in
+  let spec_of = memo_spec_of make_object in
   let t =
     {
       group;
-      make_object;
+      spec_of;
       replicas;
       stale;
       segment_records;
       sim;
       states =
-        Array.init replicas (fun _ -> Array.init shards (fun _ -> fresh_state 0));
+        Array.init replicas (fun _ ->
+            Array.init shards (fun _ -> fresh_state (Chains.create ~spec_of) 0));
+      primary =
+        Array.init shards (fun _ ->
+            { sys = None; fed = 0; pchains = Chains.create ~spec_of });
       acked = Array.make_matrix replicas shards 0;
       epochs = Array.make shards 0;
       down = Array.make replicas false;
@@ -305,7 +363,6 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
       crash_texts = Array.make shards None;
       damage_pending = 0;
       rr = 0;
-      read_seq = 0;
       n_promotions = 0;
       n_resyncs = 0;
       n_fenced = 0;
@@ -315,6 +372,8 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
       n_reads_at = Array.make replicas 0;
       n_reads_primary = 0;
       n_reads_waited = 0;
+      n_rebuilds = 0;
+      retired_advances = 0;
       metrics;
     }
   in
@@ -329,7 +388,7 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
 
 let feed_pos t ~shard =
   if Group.shard_crashed t.group shard then 0
-  else List.length (Group.shard_records t.group shard)
+  else Group.shard_record_count t.group shard
 
 let applied_pos t ~replica ~shard = (state t ~replica ~shard).pos
 let hwm t ~replica ~shard = (state t ~replica ~shard).hwm
@@ -457,48 +516,7 @@ let heal_replica t i = Msim.heal t.sim 0 (i + 1)
 let damage_next_segments t n = t.damage_pending <- t.damage_pending + max 0 n
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot reads *)
-
-(* Build a fresh system holding every registered object and replay the
-   committed updates with serialization timestamp <= [upto] out of the
-   given event streams (one per touched shard, concatenated — the
-   per-shard streams are independent, and the replay orders the merged
-   transaction list by timestamp).  Logged timestamps are reinstated,
-   so the read executed on top observes exactly the as-of state. *)
-let snapshot t ~upto events =
-  let sys = Cc.System.create ~policy:(Group.policy t.group) () in
-  List.iter
-    (fun (x, _) -> Cc.System.add_object sys (t.make_object (Cc.System.log sys) x))
-    (Group.objects t.group);
-  let keep (txn : Projection.txn) =
-    match txn.Projection.ts with
-    | Some ts -> Timestamp.to_int ts <= upto
-    | None -> false
-  in
-  let h = Projection.updates_history ~keep events in
-  match Cc.Recovery.replay Cc.Recovery.Timestamp_order sys h with
-  | Ok _ -> Ok sys
-  | Error f -> Error (Fmt.str "snapshot replay: %a" Cc.Recovery.pp_failure f)
-
-let exec_read t sys ~ts steps =
-  t.read_seq <- t.read_seq + 1;
-  let a = Activity.read_only (Fmt.str "tier_read%d" t.read_seq) in
-  let txn = Cc.System.begin_txn ~ts:(Timestamp.v ts) sys a in
-  let rec go acc = function
-    | [] ->
-      Cc.System.commit sys txn;
-      Ok (List.rev acc)
-    | (x, op) :: more -> (
-      match Cc.System.invoke sys txn x op with
-      | Cc.Atomic_object.Granted v -> go ((x, op, v) :: acc) more
-      | Cc.Atomic_object.Wait _ ->
-        Cc.System.abort sys txn;
-        Error "snapshot read blocked (impossible on an immutable snapshot)"
-      | Cc.Atomic_object.Refused why ->
-        Cc.System.abort sys txn;
-        Error ("snapshot read refused: " ^ why))
-  in
-  go [] steps
+(* Reads from the version chains *)
 
 let replica_events t ~replica ~shard =
   List.rev (state t ~replica ~shard).events_rev
@@ -506,26 +524,58 @@ let replica_events t ~replica ~shard =
 let touched_shards t steps =
   List.sort_uniq compare (List.map (fun (x, _) -> Group.shard_of t.group x) steps)
 
-let serve_replica t i ~ts ~shards steps =
-  let events =
-    List.concat_map (fun s -> List.rev t.states.(i).(s).events_rev) shards
+(* Answer every step from the chains of its shard.  Each chain first
+   folds below [ts]: the caller has established that no commit below
+   [ts] is still to arrive on that shard. *)
+let serve_from t chains_of ~ts steps =
+  let ts = Timestamp.v ts in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (x, op) :: more -> (
+      match Chains.answer (chains_of (Group.shard_of t.group x)) ~ts x op with
+      | Ok v -> go ((x, op, v) :: acc) more
+      | Error why -> Error ("read refused: " ^ why))
   in
-  match snapshot t ~upto:ts events with
-  | Error _ as e -> e
-  | Ok sys -> exec_read t sys ~ts steps
+  go [] steps
 
+let serve_replica t i ~ts steps =
+  serve_from t (fun s -> t.states.(i).(s).chains) ~ts steps
+
+(* Bring the primary fallback's chains for shard [s] up to the live
+   history: only the events since the last bounce are walked. *)
+let primary_chains t s =
+  let p = t.primary.(s) in
+  let sys = Group.system t.group s in
+  (match p.sys with
+  | Some sys' when sys' == sys -> ()
+  | _ ->
+    retire t p.pchains;
+    p.sys <- Some sys;
+    p.fed <- 0;
+    p.pchains <- fresh_chains t);
+  let h = Cc.System.history sys in
+  let rec go = function
+    | [] -> ()
+    | e :: more -> (
+      match Chains.apply p.pchains e with
+      | Ok () -> go more
+      | Error _ -> p.pchains <- rebuild t p.pchains (History.to_list h))
+  in
+  go (History.suffix h ~from:p.fed);
+  p.fed <- History.length h;
+  p.pchains
+
+(* The primary serves under the same rule as a replica: its mark is the
+   shard's watermark, which sits below any in-doubt leg whose recorded
+   decision is a commit.  Such a leg will commit at its agreed
+   timestamp later; serving a read above that timestamp now would miss
+   it. *)
 let serve_primary t ~ts ~shards steps =
   if List.exists (fun s -> Group.shard_crashed t.group s) shards then
     Error "unavailable: primary shard down and no replica can serve"
-  else
-    let events =
-      List.concat_map
-        (fun s -> History.to_list (Cc.System.history (Group.system t.group s)))
-        shards
-    in
-    match snapshot t ~upto:ts events with
-    | Error _ as e -> e
-    | Ok sys -> exec_read t sys ~ts steps
+  else if List.exists (fun s -> watermark t s < ts) shards then
+    Error "unavailable: an in-doubt commit below the read timestamp"
+  else serve_from t (primary_chains t) ~ts steps
 
 let can_serve t i ~ts ~shards =
   (not t.down.(i)) && List.for_all (fun s -> t.states.(i).(s).hwm >= ts) shards
@@ -533,7 +583,7 @@ let can_serve t i ~ts ~shards =
 let read ?replica t steps =
   (match Group.policy t.group with
   | `None_ ->
-    invalid_arg "Tier.read: snapshot reads need a timestamp policy"
+    invalid_arg "Tier.read: as-of reads need a timestamp policy"
   | `Static | `Hybrid -> ());
   let ts = Timestamp.to_int (Cc.Lamport_clock.next (Group.clock t.group)) in
   let shards = touched_shards t steps in
@@ -558,7 +608,7 @@ let read ?replica t steps =
   let servable, waited = wait 0 in
   t.n_reads_waited <- t.n_reads_waited + waited;
   if servable then
-    match serve_replica t i ~ts ~shards steps with
+    match serve_replica t i ~ts steps with
     | Ok values ->
       t.n_reads_at.(i) <- t.n_reads_at.(i) + 1;
       (match t.metrics with None -> () | Some m -> Sm.replica_read m ~replica:i);
@@ -653,7 +703,7 @@ let fail_over t s =
     let caught_up =
       match Cc.Wal.records_from ~pos:st.pos text with
       | Ok records ->
-        apply_records st records;
+        apply_records t st records;
         List.length records
       | Error _ -> 0
     in
@@ -666,7 +716,7 @@ let fail_over t s =
          record zero on the new epoch, and every replica — promoted
          one included — resyncs onto it. *)
       for i = 0 to t.replicas - 1 do
-        t.states.(i).(s) <- fresh_state new_epoch;
+        reset_state t t.states.(i).(s) new_epoch;
         t.acked.(i).(s) <- 0
       done;
       t.crash_texts.(s) <- None;
@@ -694,6 +744,15 @@ let stale_bounced t = t.n_stale_bounced
 let reads_at t ~replica = t.n_reads_at.(replica)
 let reads_primary t = t.n_reads_primary
 let reads_waited t = t.n_reads_waited
+let chain_rebuilds t = t.n_rebuilds
+
+let chain_advances t =
+  let live = ref t.retired_advances in
+  Array.iter
+    (Array.iter (fun st -> live := !live + Chains.advances st.chains))
+    t.states;
+  Array.iter (fun p -> live := !live + Chains.advances p.pchains) t.primary;
+  !live
 let channel_now t = Msim.now t.sim
 let channel_dropped t = Msim.messages_dropped t.sim
 let channel_duplicated t = Msim.messages_duplicated t.sim

@@ -31,7 +31,33 @@
     if [T <= hwm] on every shard the read touches: below the mark the
     shipped prefix provably contains every commit the read must
     observe; above it the read blocks (pumping, under [`Wait]) or
-    bounces to the primary.  Staleness is detected, never silent.
+    bounces to the primary.  Staleness is detected, never silent.  A
+    bounce obeys the same rule: the primary serves only when the
+    shard's watermark — below any in-doubt leg whose recorded decision
+    is a commit — reaches [T] on every touched shard; otherwise the
+    read is [unavailable].
+
+    {2 Reads from version chains}
+
+    A replica never replays its log to answer a read.  Each applied
+    event feeds a {!Chains.t} per shard — one
+    {!Weihl_cc.Version_chain} per object, built through a
+    per-activity accumulator: a commit inserts the activity's granted
+    (operation, result) list at its timestamp, an abort drops it,
+    read-only activities are ignored.  A read at [T] answers each step
+    with the first permissible outcome on the chain's frontier before
+    [T].  It first folds the chain below [T], which is sound by the
+    high-water-mark rule: [T <= hwm], and every commit that arrives
+    after the segment certifying [hwm] carries a timestamp above it.
+    So a read costs the versions committed since the previous read,
+    not the length of the log.  The primary fallback reads chains the
+    tier feeds incrementally from the primary's live history; they
+    start over when the shard is recovered or failed over.  Should a
+    commit still land at or below a folded mark (the static policy
+    keeps an update's initiation timestamp, which can predate a served
+    read), that shard's chains are rebuilt once from the whole stream,
+    unfolded, and {!chain_rebuilds} counts it — an answer never
+    differs from a replay of the same log.
 
     {2 Failover}
 
@@ -74,8 +100,9 @@ val create :
     [stale] (default [`Wait 4]) picks the stale-read policy;
     [segment_records] (default 64) caps records per shipped segment;
     [seed] (default the group's seed is not visible, so 1) drives the
-    channel's delays and faults.  [make_object] rebuilds objects for
-    snapshot systems — the same constructor registered with the group.
+    channel's delays and faults.  [make_object] is the constructor
+    registered with the group; the tier only takes each object's
+    specification from it.
     @raise Invalid_argument if [replicas <= 0] or the group runs more
     than one domain (the tier's watermark cut relies on the
     deterministic sequential mode). *)
@@ -95,7 +122,11 @@ val sync : t -> unit
     feed of every live shard, or no round makes progress. *)
 
 val feed_pos : t -> shard:int -> int
-(** Records in the shard's feed (0 for a crashed shard). *)
+(** Records in the shard's feed (0 for a crashed shard), in O(1).
+    Segment cuts walk only the records past the replica's acked
+    position ({!Weihl_shard.Group.shard_records_from}), so shipping,
+    {!lag_records}, {!sync} and the catch-up check cost O(lag), not
+    O(history). *)
 
 val applied_pos : t -> replica:int -> shard:int -> int
 val hwm : t -> replica:int -> shard:int -> int
@@ -107,8 +138,9 @@ val lag_records : t -> replica:int -> int
     shards. *)
 
 val replica_events : t -> replica:int -> shard:int -> Event.t list
-(** The replica's applied event stream for the shard, in apply order —
-    what its snapshots are built from.  For checks and drills. *)
+(** The replica's durable log for the shard: its applied event stream,
+    in apply order.  Reads are served from the chains materialized
+    from it, not from the list.  For checks and drills. *)
 
 val epoch : t -> shard:int -> int
 
@@ -137,7 +169,7 @@ val damage_next_segments : t -> int -> unit
 (** Corrupt the text of the next [n] segments cut — the receiver must
     detect each (CRC or framing) and resync rather than apply. *)
 
-(** {1 Snapshot reads} *)
+(** {1 Reads} *)
 
 type serve = Served_replica of int | Served_primary
 
@@ -158,12 +190,14 @@ val read :
   (read_outcome, string) result
 (** Run a read-only transaction against the tier at a fresh initiation
     timestamp.  [replica] pins the serving replica (default:
-    round-robin).  Every operation must be granted — a snapshot has no
-    concurrency to wait on — and a replay divergence is an error, not
-    a wrong answer.  Errors also cover total unavailability (replica
-    cannot serve and the primary shard is down).
+    round-robin).  Every step must be a query with a permissible
+    outcome on the as-of state: a step that would change the state is
+    an error, not a write.  Errors also cover unavailability, with
+    messages starting ["unavailable"]: the replica cannot serve and
+    the primary shard is down, or an in-doubt commit sits below the
+    read timestamp.
     @raise Invalid_argument under the [`None_] timestamp policy —
-    snapshot reads need initiation timestamps. *)
+    as-of reads need initiation timestamps. *)
 
 (** {1 Failover} *)
 
@@ -203,6 +237,17 @@ val stale_bounced : t -> int
 val reads_at : t -> replica:int -> int
 val reads_primary : t -> int
 val reads_waited : t -> int
+
+val chain_rebuilds : t -> int
+(** Times a shard's chains were rebuilt because a commit landed at or
+    below a folded mark. *)
+
+val chain_advances : t -> int
+(** Specification advances run by every chain the tier has built,
+    replicas and primary fallback — the deterministic work of serving
+    reads.  With {!Weihl_shard.Group.records_walked} for the feed side
+    it makes the tier's complexity checkable by count. *)
+
 val channel_now : t -> int
 (** Virtual time of the shipping channel. *)
 

@@ -37,6 +37,10 @@ type t = {
          which per-shard logs cannot reconstruct *)
   mutable controls : (int * Cc.Wal.control) list array;
       (* per shard, newest first: (event-log length at append, record) *)
+  n_controls : int array; (* per shard: [List.length controls.(s)] *)
+  mutable walked : int;
+      (* records walked by feed cuts ([shard_records_from]) — a
+         deterministic work count *)
   constructors :
     (string, Object_id.t * int * (Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t))
     Hashtbl.t;
@@ -95,6 +99,8 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
     commit_seq = [];
     journal = Hashtbl.create 64;
     controls = Array.make shards [];
+    n_controls = Array.make shards 0;
+    walked = 0;
     constructors = Hashtbl.create 16;
     metrics;
     tracer = None;
@@ -320,7 +326,8 @@ let maybe_prune t g =
 
 let append_control t s c =
   t.controls.(s) <-
-    (Cc.Event_log.length (Cc.System.log t.shards.(s)), c) :: t.controls.(s)
+    (Cc.Event_log.length (Cc.System.log t.shards.(s)), c) :: t.controls.(s);
+  t.n_controls.(s) <- t.n_controls.(s) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Durability: WAL sync, fuzzy checkpoints, truncation *)
@@ -340,32 +347,62 @@ let recovery_order t =
   | `None_ -> Cc.Recovery.Commit_order
   | `Static | `Hybrid -> Cc.Recovery.Timestamp_order
 
-(* Shard [s]'s full durable record stream, positions absolute from the
-   first record the shard ever appended — truncation never renumbers,
-   it only drops a prefix at encode time.  Under group commit the
-   durable image is the synced prefix: records appended since the last
-   sync are still in the volatile buffer and a crash loses them.  The
-   marks are taken at sync time, so "first n events + first m controls"
-   is exactly a prefix of the merged record stream.  Without group
-   commit every append is durable (the classic synchronous-WAL
-   model). *)
-let shard_records t s =
+(* Shard [s]'s durable record stream, positions absolute from the first
+   record the shard ever appended — truncation never renumbers, it only
+   drops a prefix at encode time.  Under group commit the durable image
+   is the synced prefix: records appended since the last sync are still
+   in the volatile buffer and a crash loses them.  The marks are taken
+   at sync time, so "first n events + first m controls" is exactly a
+   prefix of the merged record stream.  Without group commit every
+   append is durable (the classic synchronous-WAL model). *)
+let durable_counts t s =
+  if t.group_commit then (t.synced_events.(s), t.synced_ctrls.(s))
+  else (Cc.Event_log.length (Cc.System.log t.shards.(s)), t.n_controls.(s))
+
+let shard_record_count t s =
+  let evs, ctrls = durable_counts t s in
+  evs + ctrls
+
+(* The records at positions [pos ..] of the stream, walking only that
+   suffix.  Control [j] (oldest first) was appended when the event log
+   held [p_j] events, so it sits at merged position [p_j + j], ahead of
+   event [p_j]; positions grow with [j], so the controls at or past
+   [pos] are a newest-first prefix of [controls], and the events past
+   [pos] are whatever the rest of the suffix leaves. *)
+let shard_records_from t s ~pos ~max =
+  let n_evs, n_ctrls = durable_counts t s in
+  let total = n_evs + n_ctrls in
+  let pos = Int.max 0 (Int.min pos total) in
+  let rec late_ctrls j acc = function
+    | (p, c) :: tl when p + j >= pos -> late_ctrls (j - 1) ((p, c) :: acc) tl
+    | _ -> acc
+  in
+  let ctrls =
+    late_ctrls (n_ctrls - 1) [] (drop_n (t.n_controls.(s) - n_ctrls) t.controls.(s))
+  in
+  let k = List.length ctrls in
+  let from = n_evs - (total - pos - k) in
   let sys = t.shards.(s) in
-  let evs = on_shard t s (fun () -> History.to_list (Cc.System.history sys)) in
-  let ctrls = List.rev t.controls.(s) in
-  let evs, ctrls =
-    if t.group_commit then
-      (take t.synced_events.(s) evs, take t.synced_ctrls.(s) ctrls)
-    else (evs, ctrls)
+  let evs =
+    on_shard t s (fun () -> History.suffix (Cc.System.history sys) ~from)
   in
-  let rec merge idx evs ctrls acc =
-    match (evs, ctrls) with
-    | _, (p, c) :: ctl when p <= idx -> merge idx evs ctl (Cc.Wal.Control c :: acc)
-    | e :: etl, _ -> merge (idx + 1) etl ctrls (Cc.Wal.Event e :: acc)
-    | [], (_, c) :: ctl -> merge idx [] ctl (Cc.Wal.Control c :: acc)
-    | [], [] -> List.rev acc
+  t.walked <-
+    t.walked + k + (Cc.Event_log.length (Cc.System.log sys) - from);
+  let rec merge n idx evs ctrls acc =
+    if n = 0 then List.rev acc
+    else
+      match (evs, ctrls) with
+      | _, (p, c) :: ctl when p <= idx ->
+        merge (n - 1) idx evs ctl (Cc.Wal.Control c :: acc)
+      | e :: etl, _ when idx < n_evs ->
+        merge (n - 1) (idx + 1) etl ctrls (Cc.Wal.Event e :: acc)
+      | _, (_, c) :: ctl -> merge (n - 1) idx evs ctl (Cc.Wal.Control c :: acc)
+      | _, [] -> List.rev acc
   in
-  merge 0 evs ctrls []
+  merge max from evs ctrls []
+
+let shard_records t s = shard_records_from t s ~pos:0 ~max:max_int
+let records_walked t = t.walked
 
 let durable_shard t s =
   let base = t.wal_base.(s) in
@@ -387,7 +424,7 @@ let sync_shards t involved =
     (fun (s, records) ->
       t.synced_events.(s) <-
         Cc.Event_log.length (Cc.System.log t.shards.(s));
-      t.synced_ctrls.(s) <- List.length t.controls.(s);
+      t.synced_ctrls.(s) <- t.n_controls.(s);
       (match t.metrics with
       | None -> ()
       | Some m -> Weihl_obs.Shard_metrics.wal_sync m ~records);
@@ -952,6 +989,7 @@ let recover_shard ?resolve t s text =
     install_probe t s;
     Hashtbl.reset t.local_index.(s);
     t.controls.(s) <- [];
+    t.n_controls.(s) <- 0;
     (* The group clock must dominate everything the recovered shard
        replayed, or future commit timestamps could collide. *)
     Cc.Lamport_clock.observe t.clock (Cc.Lamport_clock.now (Cc.System.clock sys));
@@ -980,7 +1018,7 @@ let recover_shard ?resolve t s text =
        files' positions refer to the pre-crash stream and must not leak
        into the next crash's recovery. *)
     t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log sys);
-    t.synced_ctrls.(s) <- List.length t.controls.(s);
+    t.synced_ctrls.(s) <- t.n_controls.(s);
     t.ckpts.(s) <- [];
     t.wal_base.(s) <- 0;
     t.archived.(s) <- [];

@@ -243,6 +243,19 @@ val shard_records : t -> int -> Cc.Wal.record list
     {e text} but never renumbers this stream.
     @raise Invalid_argument on a bad index. *)
 
+val shard_records_from : t -> int -> pos:int -> max:int -> Cc.Wal.record list
+(** At most [max] records of {!shard_records}, starting at absolute
+    position [pos] (clamped to the stream).  Walks only the records
+    from [pos] to the stream's end, so a feed that remembers its
+    position cuts a segment in O(lag), not O(history). *)
+
+val shard_record_count : t -> int -> int
+(** [List.length (shard_records t s)], in O(1). *)
+
+val records_walked : t -> int
+(** Records walked by {!shard_records_from} (and so {!shard_records})
+    since creation — a deterministic work count for the feed side. *)
+
 val durable_shard : t -> int -> string
 (** The shard's WAL: its event log interleaved with the [Prepared] /
     [Decided] / [Checkpointed] control records at the positions they

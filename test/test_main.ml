@@ -17,6 +17,7 @@ let () =
       ("da semiqueue", Test_da_semiqueue.suite);
       ("multiversion (static)", Test_multiversion.suite);
       ("hybrid", Test_hybrid.suite);
+      ("version chain", Test_version_chain.suite);
       ("hybrid account (escrow updates)", Test_hybrid_account.suite);
       ("system", Test_system.suite);
       ("infrastructure", Test_infrastructure.suite);

@@ -278,6 +278,155 @@ let test_drill_smoke () =
   check_bool "promotions happened" true (r.Replica_drill.r_promotions >= 6);
   check_bool "reads flowed" true (r.Replica_drill.r_reads > 0)
 
+(* --- the chain read path ---------------------------------------------- *)
+
+(* A read-only activity may not change state: a deposit inside a tier
+   read is an error on a replica and on a primary bounce alike, never
+   a write and never a silently ignored step. *)
+let test_state_changing_read_refused () =
+  let p = proto "hybrid" in
+  let group, w = build p ~shards:2 ~seed:15 in
+  drive ~duration:60 group w;
+  let acct = List.hd w.Workload.objects in
+  let write = [ (acct, Bank_account.balance); (acct, Bank_account.deposit 5) ] in
+  let tier = tier_of p ~replicas:1 group in
+  Replica_tier.sync tier;
+  (match Replica_tier.read ~replica:0 tier write with
+  | Ok _ -> Alcotest.fail "replica served a state-changing step"
+  | Error _ -> ());
+  let bouncing = tier_of ~stale:`Bounce p ~replicas:1 group in
+  (match Replica_tier.read ~replica:0 bouncing write with
+  | Ok _ -> Alcotest.fail "primary bounce served a state-changing step"
+  | Error msg ->
+    check_bool "refused, not unavailable" false
+      (String.starts_with ~prefix:"unavailable" msg));
+  check_int "the bounce was taken" 1 (Replica_tier.stale_bounced bouncing)
+
+(* The feed cut walks only the suffix it returns, and returns exactly
+   the slice of the whole stream — with and without group commit. *)
+let test_feed_cut_matches_stream () =
+  List.iter
+    (fun group_commit ->
+      let p = proto "hybrid" in
+      let group =
+        Shard_group.create ~policy:p.Fault_harness.policy ~group_commit ~seed:16
+          ~shards:3 ()
+      in
+      let w = p.Fault_harness.workload () in
+      List.iter
+        (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
+        w.Workload.objects;
+      drive ~duration:80 group w;
+      (* A checkpoint syncs its shard; the traffic after it leaves an
+         unsynced tail that a group-commit feed must not ship. *)
+      for s = 0 to 2 do
+        ignore (Shard_group.checkpoint_shard group s)
+      done;
+      drive ~duration:40 ~base:10_000 group w;
+      for s = 0 to 2 do
+        let all = Shard_group.shard_records group s in
+        let n = List.length all in
+        check_int "count" n (Shard_group.shard_record_count group s);
+        check_bool "controls present" true
+          (List.exists (function Wal.Control _ -> true | Wal.Event _ -> false) all);
+        List.iter
+          (fun pos ->
+            List.iter
+              (fun max ->
+                let want =
+                  List.filteri (fun i _ -> i >= pos && i < pos + max) all
+                in
+                let got = Shard_group.shard_records_from group s ~pos ~max in
+                if got <> want then
+                  Alcotest.failf "shard %d pos %d max %d: cut differs" s pos max)
+              [ 1; 7; 64; n + 1 ])
+          (List.sort_uniq compare [ 0; 1; n / 3; n / 2; n - 5; n - 1; n; n + 3 ]);
+        let w0 = Shard_group.records_walked group in
+        ignore (Shard_group.shard_records_from group s ~pos:(n - 4) ~max:64);
+        let unsynced =
+          if group_commit then
+            History.length (System.history (Shard_group.system group s))
+          else 0
+        in
+        check_bool "a tail cut walks the tail" true
+          (Shard_group.records_walked group - w0 <= 4 + unsynced)
+      done)
+    [ false; true ]
+
+(* Every read the tier serves — from a replica or bounced to the
+   primary — equals the replay oracle over the log it was served from
+   and, at the end, over the final primary state as of its timestamp.
+   [Replica_drill.run_schedule] checks both; this drives it over seeds
+   × protocols × replica-side fault plans. *)
+let prop_reads_match_replay =
+  QCheck2.Test.make ~name:"tier reads ≡ replay oracle (drill schedules)"
+    ~count:12
+    QCheck2.Gen.(triple (int_bound 10_000) bool (int_bound 3))
+    (fun (seed, hybrid, fault) ->
+      let p = proto (if hybrid then "hybrid" else "multiversion") in
+      let plan = Shard_plan.generate ~seed in
+      let replica =
+        match fault with
+        | 0 -> Shard_plan.Replica_lag (seed, 1 + (seed mod 5))
+        | 1 -> Shard_plan.Replica_damage (seed, 1 + (seed mod 3))
+        | 2 -> Shard_plan.Replica_partition seed
+        | _ -> Shard_plan.Replica_crash seed
+      in
+      let d =
+        Replica_drill.run_schedule ~quick:true { plan with Shard_plan.replica } p
+      in
+      (match d.Replica_drill.d_diverged with
+      | None -> ()
+      | Some msg -> QCheck2.Test.fail_report msg);
+      d.Replica_drill.d_stale = 0 && d.Replica_drill.d_lost = 0
+      && d.Replica_drill.d_reads > 0)
+
+(* The complexity check: a read pays for the versions committed since
+   the previous read, a pump for the records appended since the
+   previous pump — neither for the length of the log.  Both are counted
+   deterministically (specification advances, records walked), at two
+   run lengths four times apart. *)
+let tier_work ~duration =
+  let p = proto "hybrid" in
+  let group, w = build p ~shards:3 ~seed:17 in
+  let tier = tier_of p ~replicas:2 group in
+  let steps = read_all_accounts w in
+  let pumps = ref 0 and walked = ref 0 and reads = ref 0 and advanced = ref 0 in
+  let on_commit group g ~nth_multi:_ =
+    let o = Shard_group.commit group g in
+    let w0 = Shard_group.records_walked group in
+    Replica_tier.pump tier;
+    walked := !walked + Shard_group.records_walked group - w0;
+    incr pumps;
+    if !pumps mod 4 = 0 then begin
+      let a0 = Replica_tier.chain_advances tier in
+      (match Replica_tier.read tier steps with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      advanced := !advanced + Replica_tier.chain_advances tier - a0;
+      incr reads
+    end;
+    o
+  in
+  let config =
+    { Sharded_driver.default_config with clients = 4; duration; seed = 18 }
+  in
+  ignore (Sharded_driver.run ~config ~on_commit group w);
+  check_bool "reads ran" true (!reads > 10);
+  ( float_of_int !advanced /. float_of_int !reads,
+    float_of_int !walked /. float_of_int !pumps )
+
+let test_tier_work_flat () =
+  let read_s, pump_s = tier_work ~duration:200 in
+  let read_l, pump_l = tier_work ~duration:800 in
+  let flat what short long =
+    if long > 1.5 *. short then
+      Alcotest.failf "%s work grows with the log: %.1f at 200, %.1f at 800" what
+        short long
+  in
+  flat "per-read" read_s read_l;
+  flat "per-pump" pump_s pump_l
+
 (* --- the equivalence property --------------------------------------- *)
 
 (* Satellite: over protocols × seeds × lag schedules, every replica's
@@ -362,5 +511,12 @@ let suite =
       test_fencing_refuses_old_epoch;
     Alcotest.test_case "drill: seeded schedules stay clean" `Quick
       test_drill_smoke;
+    Alcotest.test_case "read: a state-changing step is refused" `Quick
+      test_state_changing_read_refused;
+    Alcotest.test_case "ship: feed cuts equal slices of the stream" `Quick
+      test_feed_cut_matches_stream;
+    Alcotest.test_case "complexity: per-read and per-pump work is flat" `Quick
+      test_tier_work_flat;
+    to_alcotest prop_reads_match_replay;
     to_alcotest prop_replica_equivalence;
   ]

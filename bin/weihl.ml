@@ -897,7 +897,8 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
       in
       let group =
         Shard_group.create ~policy:proto.Fault_harness.policy ?metrics:sm ~seed
-          ~domains ?group_commit ?sync_cost ?checkpoint ~shards ()
+          ~domains ?group_commit ?sync_cost ?checkpoint ~now:Unix.gettimeofday
+          ~shards ()
       in
       List.iter
         (fun id ->
@@ -1162,7 +1163,7 @@ let replica_lag_demo ~shards ~replicas ~seed =
   let sm = Obs.Shard_metrics.create ~replicas ~shards () in
   let group =
     Shard_group.create ~policy:proto.Fault_harness.policy ~metrics:sm ~seed
-      ~shards ()
+      ~now:Unix.gettimeofday ~shards ()
   in
   List.iter
     (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)

@@ -8,17 +8,13 @@ type t = {
   records : Wal.record list;
       (* captured transactions' events in serialization order, then one
          Prepared control per in-doubt transaction at the snapshot *)
+  names : string list;
+      (* the captured (committed) activities, in serialization order *)
 }
 
 let covered t = t.covered
 let label t = t.label
 let records t = t.records
-
-let history t =
-  History.of_list
-    (List.filter_map
-       (function Wal.Event e -> Some e | Wal.Control _ -> None)
-       t.records)
 
 let in_doubt t =
   List.filter_map
@@ -27,23 +23,68 @@ let in_doubt t =
       | _ -> None)
     t.records
 
-let txn_count t = Activity.Set.cardinal (History.committed (history t))
+let txn_count t = List.length t.names
+let activity_names t = t.names
 
-let activity_names t =
-  Activity.Set.elements (History.committed (history t))
-  |> List.map Activity.name
+(* The activities with a commit event among [records], in order of
+   their first commit. *)
+let committed_names records =
+  let seen = Hashtbl.create 64 in
+  List.fold_left
+    (fun acc r ->
+      match r with
+      | Wal.Event (Event.Commit (a, _, _))
+        when not (Hashtbl.mem seen (Activity.name a)) ->
+        Hashtbl.add seen (Activity.name a) ();
+        Activity.name a :: acc
+      | _ -> acc)
+    [] records
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Capture *)
 
+(* What capture needs to know of one activity, gathered in one pass
+   over the record stream. *)
+type txn = {
+  mutable ts : Timestamp.t option;  (* the first timestamp its events carry *)
+  mutable commit_pos : int;  (* event index of its first commit; -1: none *)
+  mutable aborted : bool;
+  mutable events : Event.t list;  (* newest first *)
+}
+
 let capture ~ts_ordered ?label records =
-  let events =
-    List.filter_map
-      (function Wal.Event e -> Some e | Wal.Control _ -> None)
-      records
+  let txns = Hashtbl.create 64 in
+  let txn a =
+    let name = Activity.name a in
+    match Hashtbl.find_opt txns name with
+    | Some x -> x
+    | None ->
+      let x = { ts = None; commit_pos = -1; aborted = false; events = [] } in
+      Hashtbl.add txns name x;
+      x
   in
-  let h = History.of_list events in
-  let committed = History.committed h and aborted = History.aborted h in
+  (* Attribute control records to transactions: Prepared carries the
+     activity, Decided only the gid. *)
+  let prep_act = Hashtbl.create 8 and decided = Hashtbl.create 8 in
+  let n_events = ref 0 in
+  List.iter
+    (function
+      | Wal.Event e ->
+        let x = txn (Event.activity e) in
+        x.events <- e :: x.events;
+        (if x.ts = None then x.ts <- Event.timestamp e);
+        (match e with
+        | Event.Commit _ when x.commit_pos < 0 -> x.commit_pos <- !n_events
+        | Event.Abort _ -> x.aborted <- true
+        | _ -> ());
+        incr n_events
+      | Wal.Control (Wal.Prepared { gid; activity }) ->
+        if not (Hashtbl.mem prep_act gid) then Hashtbl.add prep_act gid activity
+      | Wal.Control (Wal.Decided { gid; _ }) -> Hashtbl.replace decided gid ()
+      | Wal.Control (Wal.Checkpointed _) -> ())
+    records;
+  let committed x = x.commit_pos >= 0 in
   (* The timestamp frontier: the smallest timestamp a live (active or
      prepared) transaction has already drawn.  Committed transactions
      below it precede every live and every future transaction in
@@ -52,44 +93,40 @@ let capture ~ts_ordered ?label records =
   let frontier =
     if not ts_ordered then None
     else
-      Activity.Set.fold
-        (fun a acc ->
-          match History.timestamp_of h a with
-          | None -> acc
-          | Some ts -> (
+      Hashtbl.fold
+        (fun _ x acc ->
+          match x.ts with
+          | Some ts when (not (committed x)) && not x.aborted -> (
             match acc with
-            | None -> Some ts
-            | Some m -> if Timestamp.compare ts m < 0 then Some ts else Some m))
-        (History.active h) None
+            | Some m when Timestamp.compare m ts <= 0 -> acc
+            | _ -> Some ts)
+          | _ -> acc)
+        txns None
   in
-  let eligible a =
-    Activity.Set.mem a committed
+  let eligible x =
+    committed x
     && ((not ts_ordered)
        ||
-       match History.timestamp_of h a with
+       match x.ts with
        | None -> false (* unstamped: committed_in_order would drop it *)
        | Some ts -> (
          match frontier with
          | None -> true
          | Some f -> Timestamp.compare ts f < 0))
   in
-  (* Attribute control records to transactions: Prepared carries the
-     activity, Decided only the gid. *)
-  let prep_act = Hashtbl.create 8 and decided = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Wal.Control (Wal.Prepared { gid; activity }) ->
-        if not (Hashtbl.mem prep_act gid) then Hashtbl.add prep_act gid activity
-      | Wal.Control (Wal.Decided { gid; _ }) -> Hashtbl.replace decided gid ()
-      | Wal.Event _ | Wal.Control (Wal.Checkpointed _) -> ())
-    records;
+  let lookup a = Hashtbl.find_opt txns (Activity.name a) in
   (* The redo point: everything recovery still needs lives at
      [>= covered].  Aborted transactions are discarded by replay, so
      their records do not hold the point back; old Checkpointed markers
      belong to no transaction. *)
-  let covered = ref (List.length records) in
-  List.iteri
-    (fun seq r ->
+  let holds_back a =
+    match lookup a with
+    | Some x -> (not (eligible x)) && not x.aborted
+    | None -> true
+  in
+  let rec redo_point seq = function
+    | [] -> seq
+    | r :: rest -> (
       let owner =
         match r with
         | Wal.Event e -> Some (Event.activity e)
@@ -98,50 +135,44 @@ let capture ~ts_ordered ?label records =
         | Wal.Control (Wal.Checkpointed _) -> None
       in
       match owner with
-      | Some a when (not (eligible a)) && not (Activity.Set.mem a aborted) ->
-        if seq < !covered then covered := seq
-      | _ -> ())
-    records;
+      | Some a when holds_back a -> seq
+      | _ -> redo_point (seq + 1) rest)
+  in
   (* Captured transactions in serialization order.  Commit position
      orders them correctly for both recovery orders: it is the
      serialization order under commit-order recovery, and replay
      re-sorts by the embedded timestamps under timestamp order. *)
-  let commit_pos = Hashtbl.create 16 in
-  List.iteri
-    (fun i e ->
-      match e with
-      | Event.Commit (a, _, _) when not (Hashtbl.mem commit_pos (Activity.name a))
-        ->
-        Hashtbl.add commit_pos (Activity.name a) i
-      | _ -> ())
-    events;
+  let captured =
+    Hashtbl.fold
+      (fun name x acc -> if eligible x then (x.commit_pos, name, x) :: acc else acc)
+      txns []
+    |> List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j)
+  in
   let blocks =
-    Activity.Set.elements committed
-    |> List.filter eligible
-    |> List.filter_map (fun a ->
-           Option.map
-             (fun i -> (i, a))
-             (Hashtbl.find_opt commit_pos (Activity.name a)))
-    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-    |> List.concat_map (fun (_, a) ->
-           History.to_list (History.project_activity a h)
-           |> List.map (fun e -> Wal.Event e))
+    List.concat_map
+      (fun (_, _, x) -> List.rev_map (fun e -> Wal.Event e) x.events)
+      captured
   in
   let in_doubt =
     Hashtbl.fold
       (fun gid a acc ->
-        if
-          Hashtbl.mem decided gid
-          || Activity.Set.mem a committed
-          || Activity.Set.mem a aborted
-        then acc
-        else (gid, a) :: acc)
+        let resolved =
+          match lookup a with
+          | Some x -> committed x || x.aborted
+          | None -> false
+        in
+        if Hashtbl.mem decided gid || resolved then acc else (gid, a) :: acc)
       prep_act []
     |> List.sort (fun (g, _) (g', _) -> Int.compare g g')
     |> List.map (fun (gid, activity) ->
            Wal.Control (Wal.Prepared { gid; activity }))
   in
-  { covered = !covered; label; records = blocks @ in_doubt }
+  {
+    covered = redo_point 0 records;
+    label;
+    records = blocks @ in_doubt;
+    names = List.map (fun (_, name, _) -> name) captured;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The durable file *)
@@ -179,6 +210,7 @@ let decode text =
         | Error e -> Error (Fmt.str "damaged payload: %a" Wal.pp_error e)
         | Ok (_, Wal.Torn n) ->
           Error (Fmt.str "torn payload: %d record(s) missing" n)
-        | Ok (records, Wal.Intact) -> Ok { covered; label; records })
+        | Ok (records, Wal.Intact) ->
+          Ok { covered; label; records; names = committed_names records })
       | _ -> Error "bad covered sequence number")
     | _ -> Error "bad or missing header")

@@ -67,11 +67,6 @@ val records : t -> Wal.record list
     order, then one [Prepared] control per transaction in-doubt at the
     snapshot. *)
 
-val history : t -> History.t
-(** The captured transactions' events as a replayable history — its
-    committed projection in {!Recovery.committed_in_order} is exactly
-    the checkpointed replay prefix. *)
-
 val in_doubt : t -> (int * Activity.t) list
 (** The 2PC in-doubt set at the snapshot, as [(gid, activity)].  Every
     such transaction's records lie in the tail at [>= covered];
@@ -82,8 +77,9 @@ val txn_count : t -> int
 (** Captured committed transactions. *)
 
 val activity_names : t -> string list
-(** Names of the captured transactions' activities — the tail-replay
-    skip set. *)
+(** Names of the captured transactions' activities, in serialization
+    order — the tail-replay skip set.  Computed once, by {!capture} or
+    {!decode}. *)
 
 val capture : ts_ordered:bool -> ?label:string -> Wal.record list -> t
 (** Snapshot the committed projection of a full record stream (absolute
@@ -91,7 +87,8 @@ val capture : ts_ordered:bool -> ?label:string -> Wal.record list -> t
     a truncated durable image; only synced records may be passed, or a
     crash could leave the checkpoint claiming more than the log).
     [ts_ordered] selects the timestamp-frontier prefix rule (static /
-    hybrid policies) over the commit-order rule. *)
+    hybrid policies) over the commit-order rule.  One pass over the
+    stream, with hash tables keyed by activity name. *)
 
 val digest : string -> int
 (** CRC-32 of an encoded checkpoint file — the value carried by its

@@ -2,9 +2,60 @@ open Weihl_event
 
 type order = Commit_order | Timestamp_order
 
+(* What recovery asks of each activity of an event sequence, gathered
+   in one pass and keyed by activity name: replaces per-transaction
+   scans of the whole log. *)
+type txn = {
+  mutable committed : Activity.t option;  (* as its first commit names it *)
+  mutable commit_pos : int;  (* index of its first commit event *)
+  mutable aborted : bool;
+  mutable ts : Timestamp.t option;  (* first timestamp any event carries *)
+  mutable init_ts : Timestamp.t option;  (* from its first initiation *)
+  mutable commit_ts : Timestamp.t option;  (* from its first stamped commit *)
+  mutable events : Event.t list;  (* newest first *)
+}
+
+let index events =
+  let tbl = Hashtbl.create 64 in
+  List.iteri
+    (fun i e ->
+      let name = Activity.name (Event.activity e) in
+      let x =
+        match Hashtbl.find_opt tbl name with
+        | Some x -> x
+        | None ->
+          let x =
+            {
+              committed = None;
+              commit_pos = -1;
+              aborted = false;
+              ts = None;
+              init_ts = None;
+              commit_ts = None;
+              events = [];
+            }
+          in
+          Hashtbl.add tbl name x;
+          x
+      in
+      x.events <- e :: x.events;
+      if x.ts = None then x.ts <- Event.timestamp e;
+      match e with
+      | Event.Initiate (_, _, t) when x.init_ts = None -> x.init_ts <- Some t
+      | Event.Commit (a, _, ts) ->
+        if x.committed = None then (
+          x.committed <- Some a;
+          x.commit_pos <- i);
+        if x.commit_ts = None then x.commit_ts <- ts
+      | Event.Abort _ -> x.aborted <- true
+      | _ -> ())
+    events;
+  tbl
+
+let find tbl a = Hashtbl.find_opt tbl (Activity.name a)
+
 (* Completed (op, result) pairs of one activity, in program order. *)
-let completed_ops h a =
-  let events = History.to_list (History.project_activity a h) in
+let completed_ops x =
   let rec pair = function
     | Event.Invoke (_, x, op) :: Event.Respond (_, x', res) :: rest
       when Object_id.equal x x' ->
@@ -12,34 +63,29 @@ let completed_ops h a =
     | _ :: rest -> pair rest
     | [] -> []
   in
-  pair events
+  pair (List.rev x.events)
 
-let commit_position h a =
-  let rec go i = function
-    | [] -> None
-    | Event.Commit (a', _, _) :: _ when Activity.equal a a' -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 (History.to_list h)
+(* The committed transactions of an index with their sort keys, in
+   recovery order; ties (equal timestamps) go by activity name. *)
+let keyed_in_order order tbl =
+  Hashtbl.fold
+    (fun name x acc ->
+      match x.committed with
+      | None -> acc
+      | Some a -> (
+        match order with
+        | Commit_order -> (x.commit_pos, name, (a, x)) :: acc
+        | Timestamp_order -> (
+          match x.ts with
+          | Some ts -> (Timestamp.to_int ts, name, (a, x)) :: acc
+          | None -> acc)))
+    tbl []
+  |> List.sort (fun (k, n, _) (k', n', _) ->
+         match Int.compare k k' with 0 -> String.compare n n' | c -> c)
+  |> List.map (fun (k, _, (a, x)) -> (k, (a, completed_ops x)))
 
 let committed_in_order order h =
-  let committed = Activity.Set.elements (History.committed h) in
-  let keyed =
-    match order with
-    | Commit_order ->
-      List.filter_map
-        (fun a -> Option.map (fun i -> (i, a)) (commit_position h a))
-        committed
-    | Timestamp_order ->
-      List.filter_map
-        (fun a ->
-          Option.map
-            (fun ts -> (Timestamp.to_int ts, a))
-            (History.timestamp_of h a))
-        committed
-  in
-  List.sort (fun (i, _) (j, _) -> Int.compare i j) keyed
-  |> List.map (fun (_, a) -> (a, completed_ops h a))
+  List.map snd (keyed_in_order order (index (History.to_list h)))
 
 type report = { replayed : int; substituted : int; dropped_records : int }
 
@@ -101,7 +147,14 @@ let replay_txns_ts ~init_ts ~commit_ts sys txns =
           | Atomic_object.Granted actual ->
             let f_log, f_obj = frontier_pair obj in
             let open Weihl_spec.Seq_spec in
-            (match (advance f_log op expected, advance f_obj op actual) with
+            let f_log' = advance f_log op expected in
+            (* Agreeing results on identical frontiers: one step serves
+               both. *)
+            let f_obj' =
+              if f_log == f_obj && Value.equal actual expected then f_log'
+              else advance f_obj op actual
+            in
+            (match (f_log', f_obj') with
             | Some f_log', Some f_obj' ->
               if not (Value.equal actual expected) then incr substituted;
               frontiers := Object_id.Map.add obj (f_log', f_obj') !frontiers;
@@ -149,21 +202,13 @@ let replay_txns sys txns = replay_txns_ts ~init_ts:no_ts ~commit_ts:no_ts sys tx
    under hybrid atomicity those were agreed cross-site at commit, and
    re-deriving them locally would break the agreement. *)
 let replay order sys h =
-  let init_ts a =
-    List.find_map
-      (function
-        | Event.Initiate (a', _, ts) when Activity.equal a a' -> Some ts
-        | _ -> None)
-      (History.to_list h)
-  in
-  let commit_ts a =
-    List.find_map
-      (function
-        | Event.Commit (a', _, (Some _ as ts)) when Activity.equal a a' -> ts
-        | _ -> None)
-      (History.to_list h)
-  in
-  replay_txns_ts ~init_ts ~commit_ts sys (committed_in_order order h)
+  let tbl = index (History.to_list h) in
+  let stamp f a = Option.bind (find tbl a) f in
+  replay_txns_ts
+    ~init_ts:(stamp (fun x -> x.init_ts))
+    ~commit_ts:(stamp (fun x -> x.commit_ts))
+    sys
+    (List.map snd (keyed_in_order order tbl))
 
 let restore order sys h =
   match replay order sys h with
@@ -195,13 +240,19 @@ type shard_report = {
   in_doubt : (int * Txn.t) list;
 }
 
+let events_of =
+  List.filter_map (function Wal.Event e -> Some e | Wal.Control _ -> None)
+
 (* Re-execute a prepared transaction's logged operations and park it in
    the [Prepared] state.  Serial context: only this transaction is
    active, so a [Wait] would mean the replayed committed state blocks an
    operation the original execution granted — a divergence. *)
-let reinstate_prepared sys h gid activity =
-  let ops = completed_ops h activity in
-  let ts = History.timestamp_of h activity in
+let reinstate_prepared sys tbl gid activity =
+  let ops, ts =
+    match find tbl activity with
+    | Some x -> (completed_ops x, x.ts)
+    | None -> ([], None)
+  in
   let txn = System.begin_txn ?ts sys activity in
   let rec run = function
     | [] -> Ok txn
@@ -224,127 +275,102 @@ let reinstate_prepared sys h gid activity =
     e
 
 (* The sharded-recovery engine over an already-decoded record stream.
-   [prelude] is a checkpoint's captured projection, replayed ahead of
-   the stream's own committed transactions {e in the same}
+   [prelude] is a checkpoint's captured events, replayed ahead of the
+   stream's own committed transactions {e in the same}
    [replay_txns_ts] {e invocation} — the spec-validation frontier must
    carry the captured effects into the tail replay, or every tail
    answer gets checked against the initial state.  [skip] names the
    prelude's activities: their committed transactions are excluded from
    the tail replay and their prepared markers ignored (records of a
    checkpointed transaction may straddle the checkpoint's redo
-   point). *)
-let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude order sys
-    records ~dropped =
-  let skip_mem =
-    match skip with
-    | None -> fun _ -> false
-    | Some names ->
-      let tbl = Hashtbl.create (max 8 (List.length names)) in
-      List.iter (fun n -> Hashtbl.replace tbl n ()) names;
-      fun a -> Hashtbl.mem tbl (Activity.name a)
-  in
-  let events =
-    List.filter_map
-      (function Wal.Event e -> Some e | Wal.Control _ -> None)
-      records
-  in
-  let h = History.of_list events in
-  let prelude_txns, prelude_events =
-    match prelude with
-    | None -> ([], [])
-    | Some ph -> (committed_in_order order ph, History.to_list ph)
-  in
+   point).  Returns the report and the number of prelude transactions
+   replayed. *)
+let restore_records ?(resolve = fun _ -> `Unknown) ?(skip = []) ?(prelude = [])
+    order sys records ~dropped =
+  let skipped = Hashtbl.create (max 8 (List.length skip)) in
+  List.iter (fun n -> Hashtbl.replace skipped n ()) skip;
+  let skip_mem a = Hashtbl.mem skipped (Activity.name a) in
+  let tail = index (events_of records) in
+  let pre = index prelude in
   (* Prepared records in WAL order, first occurrence per gid; decided
      records, last occurrence per gid (a re-delivered decision must
      agree, and the latest is as authoritative as any). *)
-  let prepared = ref [] and decided = Hashtbl.create 8 in
+  let seen = Hashtbl.create 8 and prepared = ref [] and decided = Hashtbl.create 8 in
   List.iter
     (function
       | Wal.Control (Wal.Prepared { gid; activity }) ->
-        if not (List.mem_assoc gid !prepared) then
-          prepared := (gid, activity) :: !prepared
+        if not (Hashtbl.mem seen gid) then (
+          Hashtbl.add seen gid ();
+          prepared := (gid, activity) :: !prepared)
       | Wal.Control (Wal.Decided { gid; verdict }) ->
         Hashtbl.replace decided gid verdict
       | Wal.Event _ | Wal.Control (Wal.Checkpointed _) -> ())
     records;
   let prepared = List.rev !prepared in
-  (* Prelude activities and stream activities are disjoint (the [skip]
-     filter below removes the overlap), so one concatenated search
-     space serves both. *)
-  let ts_events = prelude_events @ events in
-  let init_ts a =
-    List.find_map
-      (function
-        | Event.Initiate (a', _, ts) when Activity.equal a a' -> Some ts
-        | _ -> None)
-      ts_events
+  (* A logged timestamp comes from the activity's prelude events first,
+     then from the stream's (a captured transaction's records may
+     straddle the redo point). *)
+  let stamp f a =
+    match Option.bind (find pre a) f with
+    | Some _ as t -> t
+    | None -> Option.bind (find tail a) f
   in
-  let commit_ts a =
-    List.find_map
-      (function
-        | Event.Commit (a', _, (Some _ as ts)) when Activity.equal a a' -> ts
-        | _ -> None)
-      ts_events
+  let prelude_txns = keyed_in_order order pre in
+  let tail_txns =
+    List.filter (fun (_, (a, _)) -> not (skip_mem a)) (keyed_in_order order tail)
   in
+  (* Commit order: every captured transaction committed before every
+     tail one — capture only takes transactions already committed at
+     the snapshot — so concatenation is the global commit order.
+     Timestamp order: a cross-shard transaction draws its timestamp
+     where it initiates and may reach this shard only after the
+     snapshot, so a tail timestamp can sit below captured ones; merge
+     the two (individually sorted) runs, prelude first on ties. *)
   let txns =
-    let tail_txns =
-      committed_in_order order h
-      |> List.filter (fun (a, _) -> not (skip_mem a))
-    in
-    match (order, prelude) with
-    | _, None -> tail_txns
-    | Commit_order, Some _ ->
-      (* Every captured transaction committed before every tail one —
-         capture only takes transactions already committed at the
-         snapshot — so concatenation is the global commit order. *)
-      prelude_txns @ tail_txns
-    | Timestamp_order, Some ph ->
-      (* Concatenation is NOT enough here: a cross-shard transaction
-         draws its timestamp where it initiates and may reach this
-         shard only after the snapshot, so a tail timestamp can sit
-         below captured ones.  Merge the two (individually sorted)
-         runs into the global timestamp order. *)
-      let key hist (a, _) =
-        match History.timestamp_of hist a with
-        | Some ts -> Timestamp.to_int ts
-        | None -> max_int
-      in
+    match order with
+    | Commit_order -> List.map snd (prelude_txns @ tail_txns)
+    | Timestamp_order ->
       let rec merge xs ys =
         match (xs, ys) with
-        | [], l | l, [] -> l
-        | x :: xs', y :: ys' ->
-          if key ph x <= key h y then x :: merge xs' ys
-          else y :: merge xs ys'
+        | [], l | l, [] -> List.map snd l
+        | ((k, x) :: xs' as xl), ((k', y) :: ys' as yl) ->
+          if k <= k' then x :: merge xs' yl else y :: merge xl ys'
       in
       merge prelude_txns tail_txns
   in
-  match replay_txns_ts ~init_ts ~commit_ts sys txns with
+  match
+    replay_txns_ts
+      ~init_ts:(stamp (fun x -> x.init_ts))
+      ~commit_ts:(stamp (fun x -> x.commit_ts))
+      sys txns
+  with
   | Error f -> Error f
   | Ok base ->
     let base = { base with dropped_records = dropped } in
-    let committed = History.committed h and aborted = History.aborted h in
+    let resolved_in_log a =
+      match find tail a with
+      | Some x -> x.committed <> None || x.aborted
+      | None -> false
+    in
     let reinstated = ref 0 and resolved = ref 0 and in_doubt = ref [] in
     let rec go = function
       | [] ->
         Ok
-          {
-            base;
-            reinstated = !reinstated;
-            resolved = !resolved;
-            in_doubt = List.rev !in_doubt;
-          }
+          ( {
+              base;
+              reinstated = !reinstated;
+              resolved = !resolved;
+              in_doubt = List.rev !in_doubt;
+            },
+            List.length prelude_txns )
       | (gid, activity) :: rest ->
         (* A prepared transaction whose commit/abort made it into the
            log was already handled by the committed-projection replay
            (or discarded with the aborts); one the checkpoint captured
            was handled by the checkpoint replay. *)
-        if
-          skip_mem activity
-          || Activity.Set.mem activity committed
-          || Activity.Set.mem activity aborted
-        then go rest
+        if skip_mem activity || resolved_in_log activity then go rest
         else (
-          match reinstate_prepared sys h gid activity with
+          match reinstate_prepared sys tail gid activity with
           | Error m -> Error (Divergent m)
           | Ok txn ->
             incr reinstated;
@@ -372,7 +398,8 @@ let restore_shard ?resolve order sys text =
   match Wal.decode_records text with
   | Error e -> Error (Corrupt e)
   | Ok (records, status) ->
-    restore_records ?resolve order sys records ~dropped:(dropped_of status)
+    Result.map fst
+      (restore_records ?resolve order sys records ~dropped:(dropped_of status))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint-aware recovery *)
@@ -385,6 +412,7 @@ type checkpointed_report = {
   fallbacks : string list;
   wal_records : int;
   replayed_records : int;
+  prelude_txns : int;
 }
 
 let pp_source ppf = function
@@ -462,7 +490,7 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
         if markers <> [] then note "no usable checkpoint: full-log replay";
         match restore_records ?resolve order sys records ~dropped with
         | Error f -> Error f
-        | Ok shard ->
+        | Ok (shard, _) ->
           Ok
             {
               shard;
@@ -470,6 +498,7 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
               fallbacks = List.rev !notes;
               wal_records = total;
               replayed_records = total;
+              prelude_txns = 0;
             }
       end
     | Some (covered, ckpt) -> (
@@ -480,11 +509,11 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
          snapshot's last effect into the first tail transaction. *)
       match
         restore_records ?resolve ~skip
-          ~prelude:(Checkpoint.history ckpt)
+          ~prelude:(events_of (Checkpoint.records ckpt))
           order sys tail ~dropped
       with
       | Error f -> Error f
-      | Ok shard ->
+      | Ok (shard, prelude_txns) ->
         (* Every transaction in-doubt at the snapshot must still be
            reachable from the tail (the redo point is capped at its
            first record); a violation means truncation dropped live
@@ -517,4 +546,5 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
               fallbacks = List.rev !notes;
               wal_records = total;
               replayed_records = List.length tail;
+              prelude_txns;
             }))

@@ -151,6 +151,11 @@ type checkpointed_report = {
       (** log records recovery consumed: the tail length under
           [From_checkpoint] — the recovery-work bound the soak harness
           asserts — or [wal_records] under [Full_replay] *)
+  prelude_txns : int;
+      (** checkpointed transactions replayed ahead of the tail (0 under
+          [Full_replay]).  Restart work is these plus the tail's
+          transactions ([shard.base.replayed] counts both), so
+          [replayed_records] alone understates it. *)
 }
 
 val pp_source : Format.formatter -> source -> unit

@@ -13,13 +13,54 @@ let crc_table =
       done;
       !c)
 
-let crc32 s =
-  let table = crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+(* Slicing-by-8: [slices] holds eight 256-entry tables, table [k]
+   advancing the CRC over a byte followed by [k] zero bytes, so one
+   step folds eight bytes with independent lookups instead of a chain
+   of eight dependent ones. *)
+let slices =
+  let t = Array.make (8 * 256) 0 in
+  Array.blit crc_table 0 t 0 256;
+  for k = 1 to 7 do
+    for i = 0 to 255 do
+      let prev = t.(((k - 1) lsl 8) lor i) in
+      t.((k lsl 8) lor i) <- (prev lsr 8) lxor crc_table.(prev land 0xff)
+    done
+  done;
+  t
+
+let crc_bytes b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Wal.crc32: range out of bounds";
+  let t k i = Array.unsafe_get slices ((k lsl 8) lor i) [@@inline] in
+  let byte i = Char.code (Bytes.unsafe_get b i) [@@inline] in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let j = !i in
+    let w =
+      !c
+      lxor (byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16)
+           lor (byte (j + 3) lsl 24))
+    in
+    c :=
+      t 7 (w land 0xff)
+      lxor t 6 ((w lsr 8) land 0xff)
+      lxor t 5 ((w lsr 16) land 0xff)
+      lxor t 4 (w lsr 24)
+      lxor t 3 (byte (j + 4))
+      lxor t 2 (byte (j + 5))
+      lxor t 1 (byte (j + 6))
+      lxor t 0 (byte (j + 7));
+    i := j + 8
+  done;
+  for j = !i to stop - 1 do
+    c := t 0 ((!c lxor byte j) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+(* Read-only views: the bytes are never written through. *)
+let crc32_sub s pos len = crc_bytes (Bytes.unsafe_of_string s) pos len
+let crc32 s = crc32_sub s 0 (String.length s)
 
 type status = Intact | Torn of int
 type error = { record : int; reason : string }
@@ -39,18 +80,30 @@ let pp_error ppf { record; reason } =
   if record < 0 then Fmt.pf ppf "WAL header: %s" reason
   else Fmt.pf ppf "WAL record %d: %s" record reason
 
-let control_text = function
+let write_control buf = function
   | Prepared { gid; activity } ->
-    Printf.sprintf "!prepared %d %s %s" gid
-      (if Activity.is_read_only activity then "r" else "u")
-      (Activity.name activity)
-  | Decided { gid; verdict = `Commit (Some ts) } ->
-    Printf.sprintf "!decided %d commit %d" gid (Timestamp.to_int ts)
-  | Decided { gid; verdict = `Commit None } ->
-    Printf.sprintf "!decided %d commit -" gid
-  | Decided { gid; verdict = `Abort } -> Printf.sprintf "!decided %d abort" gid
+    Buffer.add_string buf "!prepared ";
+    Value.write_int buf gid;
+    Buffer.add_string buf
+      (if Activity.is_read_only activity then " r " else " u ");
+    Buffer.add_string buf (Activity.name activity)
+  | Decided { gid; verdict } -> (
+    Buffer.add_string buf "!decided ";
+    Value.write_int buf gid;
+    match verdict with
+    | `Commit (Some ts) ->
+      Buffer.add_string buf " commit ";
+      Value.write_int buf (Timestamp.to_int ts)
+    | `Commit None -> Buffer.add_string buf " commit -"
+    | `Abort -> Buffer.add_string buf " abort")
   | Checkpointed { seq; digest } ->
-    Printf.sprintf "!checkpointed %d %08x" seq digest
+    Buffer.add_string buf "!checkpointed ";
+    Value.write_int buf seq;
+    Buffer.add_string buf (Printf.sprintf " %08x" digest)
+
+let write_record buf = function
+  | Event e -> Event.write buf e
+  | Control c -> write_control buf c
 
 (* Control bodies start with '!' — no event notation does. *)
 let control_of_text text =
@@ -85,17 +138,14 @@ let control_of_text text =
     | _ -> Error "unparseable control: bad checkpointed record")
   | _ -> Error "unparseable control record"
 
-let record_text = function
-  | Event e -> Event.to_string e
-  | Control c -> control_text c
-
-let record_of_text text =
-  if String.length text > 0 && text.[0] = '!' then (
-    match control_of_text text with
+(* The record whose text is [s]'s bytes [lo, hi). *)
+let record_of_sub s lo hi =
+  if lo < hi && s.[lo] = '!' then (
+    match control_of_text (String.sub s lo (hi - lo)) with
     | Ok c -> Ok (Control c)
     | Error m -> Error m)
   else (
-    match Notation.event_of_string text with
+    match Notation.event_of_sub s ~pos:lo ~len:(hi - lo) with
     | Ok e -> Ok (Event e)
     | Error m -> Error ("unparseable event: " ^ m))
 
@@ -117,16 +167,41 @@ let header_line ?(base = 0) label =
          (if base = 0 then [] else [ Printf.sprintf "@%d" base ]);
        ])
 
-let encode_records ?label ?(base = 0) records =
-  let buf = Buffer.create (64 * (List.length records + 1)) in
-  Buffer.add_string buf (header_line ~base label);
-  Buffer.add_char buf '\n';
+(* The one line framer: [records] as lines
+   ["<crc32:8 hex> <seq> <record>\n"] numbered from [seq], after
+   [prefix].  Every line is rendered once with a placeholder checksum;
+   the checksums are then taken over each line's range from the
+   sequence number to the end of the record, and written over the
+   placeholders. *)
+let hex_digits = "0123456789abcdef"
+
+let frame ?(prefix = "") ~seq records =
+  let n = List.length records in
+  let buf = Buffer.create (String.length prefix + (48 * n)) in
+  Buffer.add_string buf prefix;
+  let starts = Array.make n 0 in
   List.iteri
     (fun i r ->
-      let body = Printf.sprintf "%d %s" (base + i) (record_text r) in
-      Buffer.add_string buf (Printf.sprintf "%08x %s\n" (crc32 body) body))
+      starts.(i) <- Buffer.length buf;
+      Buffer.add_string buf "00000000 ";
+      Value.write_int buf (seq + i);
+      Buffer.add_char buf ' ';
+      write_record buf r;
+      Buffer.add_char buf '\n')
     records;
-  Buffer.contents buf
+  let b = Buffer.to_bytes buf in
+  Array.iteri
+    (fun i start ->
+      let stop = if i + 1 < n then starts.(i + 1) - 1 else Bytes.length b - 1 in
+      let crc = crc_bytes b (start + 9) (stop - start - 9) in
+      for k = 0 to 7 do
+        Bytes.unsafe_set b (start + k) hex_digits.[(crc lsr (28 - (4 * k))) land 0xf]
+      done)
+    starts;
+  Bytes.unsafe_to_string b
+
+let encode_records ?label ?(base = 0) records =
+  frame ~prefix:(header_line ~base label ^ "\n") ~seq:base records
 
 let encode h =
   let records = ref [] in
@@ -164,53 +239,71 @@ let header_fields header =
     in
     (label, base)
 
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* The checksum field: 8 hex digits at [pos], or -1. *)
+let read_hex8 s pos =
+  let rec go i acc =
+    if i = pos + 8 then acc
+    else
+      let d = hex_value s.[i] in
+      if d < 0 then -1 else go (i + 1) ((acc * 16) + d)
+  in
+  go pos 0
+
+(* A decimal natural in [lo, hi), or -1 (empty, a non-digit, or past
+   [max_int]). *)
+let read_nat s lo hi =
+  let rec go i acc =
+    if i >= hi then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c ->
+        let d = Char.code c - 48 in
+        if acc > (max_int - d) / 10 then -1 else go (i + 1) ((acc * 10) + d)
+      | _ -> -1
+  in
+  if lo >= hi then -1 else go lo 0
+
+(* Check the framing of the line [lo, hi) of [s] in place: checksum
+   over the line's own content and a readable sequence number.  Returns
+   the sequence number and where the record text starts. *)
+let check_frame s lo hi =
+  let n = hi - lo in
+  if n < 10 then Error "record cut short"
+  else if s.[lo + 8] <> ' ' then Error "bad framing"
+  else
+    let crc = read_hex8 s lo in
+    if crc < 0 then Error "unreadable checksum field"
+    else if crc <> crc32_sub s (lo + 9) (n - 9) then Error "checksum mismatch"
+    else
+      match String.index_from_opt s (lo + 9) ' ' with
+      | Some sp when sp < hi ->
+        let found = read_nat s (lo + 9) sp in
+        if found < 0 then Error "unreadable sequence number"
+        else Ok (found, sp + 1)
+      | _ -> Error "missing sequence number"
+
 (* Parse one record line.  [seq] is the index the record must carry for
    the log to be gapless. *)
-let parse_record ~seq line =
-  let n = String.length line in
-  if n < 10 then Error "record cut short"
-  else if line.[8] <> ' ' then Error "bad framing"
-  else
-    match int_of_string_opt ("0x" ^ String.sub line 0 8) with
-    | None -> Error "unreadable checksum field"
-    | Some crc ->
-      let body = String.sub line 9 (n - 9) in
-      if crc <> crc32 body then Error "checksum mismatch"
-      else (
-        match String.index_opt body ' ' with
-        | None -> Error "missing sequence number"
-        | Some sp -> (
-          match int_of_string_opt (String.sub body 0 sp) with
-          | None -> Error "unreadable sequence number"
-          | Some s when s <> seq ->
-            Error (Printf.sprintf "sequence gap: expected %d, found %d" seq s)
-          | Some _ ->
-            record_of_text (String.sub body (sp + 1) (String.length body - sp - 1))))
+let parse_record ~seq s lo hi =
+  match check_frame s lo hi with
+  | Error _ as e -> e
+  | Ok (found, _) when found <> seq ->
+    Error (Printf.sprintf "sequence gap: expected %d, found %d" seq found)
+  | Ok (_, start) -> record_of_sub s start hi
 
 (* A line that checks out structurally (checksum over its own content,
    parseable sequence and record) regardless of where it sits.  Evidence
    that real data exists beyond a damaged record. *)
-let well_framed line =
-  let n = String.length line in
-  n >= 10
-  && line.[8] = ' '
-  &&
-  match int_of_string_opt ("0x" ^ String.sub line 0 8) with
-  | None -> false
-  | Some crc -> (
-    let body = String.sub line 9 (n - 9) in
-    crc = crc32 body
-    &&
-    match String.index_opt body ' ' with
-    | None -> false
-    | Some sp -> (
-      int_of_string_opt (String.sub body 0 sp) <> None
-      &&
-      match
-        record_of_text (String.sub body (sp + 1) (String.length body - sp - 1))
-      with
-      | Ok _ -> true
-      | Error _ -> false))
+let well_framed s (lo, hi) =
+  match check_frame s lo hi with
+  | Error _ -> false
+  | Ok (_, start) -> Result.is_ok (record_of_sub s start hi)
 
 let header_ok header =
   String.equal header magic
@@ -231,30 +324,38 @@ let base text =
     let header = String.sub text 0 nl in
     if header_ok header then snd (header_fields header) else 0
 
+(* Record lines run from just past the header's newline to the end of
+   the text.  A final trailing newline ends the last line rather than
+   opening an empty one; an empty line elsewhere is a (damaged) line. *)
+let line_end text lo =
+  Option.value (String.index_from_opt text lo '\n') ~default:(String.length text)
+
+let rec line_ranges text lo =
+  if lo >= String.length text then []
+  else
+    let hi = line_end text lo in
+    (lo, hi) :: line_ranges text (hi + 1)
+
 let decode_records text =
-  match String.split_on_char '\n' text with
-  | [] -> Error { record = -1; reason = "empty" }
-  | header :: rest ->
-    if not (header_ok header) then
-      Error { record = -1; reason = "bad or missing header" }
-    else
-      let _, base = header_fields header in
-      (* A final trailing newline yields one empty trailing element;
-         drop exactly that one (an empty line elsewhere is damage). *)
-      let lines =
-        match List.rev rest with "" :: tl -> List.rev tl | _ -> rest
-      in
-      let rec go seq acc = function
-        | [] -> Ok (List.rev acc, Intact)
-        | line :: tl -> (
-          match parse_record ~seq line with
-          | Ok r -> go (seq + 1) (r :: acc) tl
-          | Error reason ->
-            if List.exists well_framed tl then
-              Error { record = seq; reason = "mid-log corruption: " ^ reason }
-            else Ok (List.rev acc, Torn (List.length tl + 1)))
-      in
-      go base [] lines
+  let nl = line_end text 0 in
+  let header = String.sub text 0 nl in
+  if not (header_ok header) then
+    Error { record = -1; reason = "bad or missing header" }
+  else
+    let _, base = header_fields header in
+    let rec go seq acc lo =
+      if lo >= String.length text then Ok (List.rev acc, Intact)
+      else
+        let hi = line_end text lo in
+        match parse_record ~seq text lo hi with
+        | Ok r -> go (seq + 1) (r :: acc) (hi + 1)
+        | Error reason ->
+          let later = line_ranges text (hi + 1) in
+          if List.exists (well_framed text) later then
+            Error { record = seq; reason = "mid-log corruption: " ^ reason }
+          else Ok (List.rev acc, Torn (List.length later + 1))
+    in
+    go base [] (nl + 1)
 
 (* Streaming segments: a shipped slice of the record stream is just a
    WAL text whose header base is the slice's absolute start position.
@@ -330,8 +431,7 @@ module Writer = struct
 
   let create ?label ?(sync_cost = Fun.id) () =
     let durable = Buffer.create 256 in
-    Buffer.add_string durable (header_line label);
-    Buffer.add_char durable '\n';
+    Buffer.add_string durable (header_line label ^ "\n");
     {
       m = Mutex.create ();
       durable;
@@ -358,15 +458,10 @@ module Writer = struct
     let batch =
       locked t (fun () ->
           let batch = List.rev t.tail in
-          List.iter
-            (fun r ->
-              let body = Printf.sprintf "%d %s" t.next_seq (record_text r) in
-              Buffer.add_string t.durable
-                (Printf.sprintf "%08x %s\n" (crc32 body) body);
-              t.next_seq <- t.next_seq + 1)
-            batch;
-          t.tail <- [];
           let n = List.length batch in
+          Buffer.add_string t.durable (frame ~seq:t.next_seq batch);
+          t.next_seq <- t.next_seq + n;
+          t.tail <- [];
           t.synced_records <- t.synced_records + n;
           t.syncs <- t.syncs + 1;
           n)
@@ -381,17 +476,7 @@ module Writer = struct
 
   let text t =
     locked t (fun () ->
-        let buf = Buffer.create (Buffer.length t.durable + 64) in
-        Buffer.add_buffer buf t.durable;
-        let seq = ref t.next_seq in
-        List.iter
-          (fun r ->
-            let body = Printf.sprintf "%d %s" !seq (record_text r) in
-            Buffer.add_string buf
-              (Printf.sprintf "%08x %s\n" (crc32 body) body);
-            incr seq)
-          (List.rev t.tail);
-        Buffer.contents buf)
+        Buffer.contents t.durable ^ frame ~seq:t.next_seq (List.rev t.tail))
 
   let synced_records t = locked t (fun () -> t.synced_records)
   let appends t = locked t (fun () -> t.appends)

@@ -85,20 +85,34 @@ let compare e f =
     | (Invoke _ | Respond _ | Commit _ | Abort _ | Initiate _), _ ->
       assert false
 
-(* Every case renders inside an h-box: an event is one line of the
-   notation, whatever the enclosing formatter's margin. *)
-let pp ppf = function
-  | Invoke (a, x, op) ->
-    Fmt.pf ppf "@[<h><%a,%a,%a>@]" Operation.pp op Object_id.pp x Activity.pp a
-  | Respond (a, x, v) ->
-    Fmt.pf ppf "<%a,%a,%a>" Value.pp v Object_id.pp x Activity.pp a
-  | Commit (a, x, None) ->
-    Fmt.pf ppf "<commit,%a,%a>" Object_id.pp x Activity.pp a
-  | Commit (a, x, Some t) ->
-    Fmt.pf ppf "<commit(%a),%a,%a>" Timestamp.pp t Object_id.pp x Activity.pp a
-  | Abort (a, x) -> Fmt.pf ppf "<abort,%a,%a>" Object_id.pp x Activity.pp a
-  | Initiate (a, x, t) ->
-    Fmt.pf ppf "<initiate(%a),%a,%a>" Timestamp.pp t Object_id.pp x
-      Activity.pp a
+(* The one printer of the notation, [<body,object,activity>], written
+   straight into [buf]. *)
+let write buf e =
+  let stamped word t =
+    Buffer.add_string buf word;
+    Buffer.add_char buf '(';
+    Value.write_int buf (Timestamp.to_int t);
+    Buffer.add_char buf ')'
+  in
+  Buffer.add_char buf '<';
+  (match e with
+  | Invoke (_, _, op) -> Operation.write buf op
+  | Respond (_, _, v) -> Value.write buf v
+  | Commit (_, _, None) -> Buffer.add_string buf "commit"
+  | Commit (_, _, Some t) -> stamped "commit" t
+  | Abort _ -> Buffer.add_string buf "abort"
+  | Initiate (_, _, t) -> stamped "initiate" t);
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (Object_id.name (object_id e));
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (Activity.name (activity e));
+  Buffer.add_char buf '>'
 
-let to_string e = Fmt.str "%a" pp e
+let to_string e =
+  let buf = Buffer.create 32 in
+  write buf e;
+  Buffer.contents buf
+
+(* One string token: an event is one line of the notation, whatever the
+   enclosing formatter's margin. *)
+let pp ppf e = Format.pp_print_string ppf (to_string e)

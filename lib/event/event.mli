@@ -49,7 +49,12 @@ val timestamp : t -> Timestamp.t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val write : Buffer.t -> t -> unit
+(** Appends the event in the paper's notation, e.g. [<insert(3),x,a>]:
+    the one printer behind {!pp}, {!to_string}, {!Notation} and the
+    WAL. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints in the paper's notation, e.g. [<insert(3),x,a>]. *)
+(** Prints {!write}'s text as a single token. *)
 
 val to_string : t -> string

@@ -38,7 +38,21 @@ val event_of_string :
     (default: names starting with 'r', 's' or 't' are read-only, the
     paper's convention).  [results] lists identifiers to read as
     symbolic results rather than invocations (default: ["ok";
-    "insufficient_funds"; "empty"; "none"]). *)
+    "insufficient_funds"; "empty"; "none"]).  A negative timestamp
+    is an error. *)
+
+val event_of_sub :
+  ?read_only:(string -> bool) ->
+  ?results:string list ->
+  string ->
+  pos:int ->
+  len:int ->
+  (Event.t, string) result
+(** {!event_of_string} on the [len] bytes of a string starting at
+    [pos], read in place — the WAL decodes record lines without
+    copying them.  The one parser: {!event_of_string} is this on the
+    whole string.
+    @raise Invalid_argument if the range is not within the string. *)
 
 val history_of_string :
   ?read_only:(string -> bool) ->

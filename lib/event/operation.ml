@@ -13,13 +13,26 @@ let compare a b =
   let c = String.compare a.name b.name in
   if c <> 0 then c else List.compare Value.compare a.args b.args
 
-let pp ppf op =
+let write buf op =
+  Buffer.add_string buf op.name;
   match op.args with
-  | [] -> Fmt.string ppf op.name
-  | args ->
-    (* The h-box keeps the break hints of [~sep:comma] from splitting
-       the rendering across lines: an operation must print on one line
-       for the notation (and the WAL built on it) to round-trip. *)
-    Fmt.pf ppf "@[<h>%s(%a)@]" op.name Fmt.(list ~sep:comma Value.pp) args
+  | [] -> ()
+  | v :: vs ->
+    Buffer.add_char buf '(';
+    Value.write buf v;
+    List.iter
+      (fun v ->
+        Buffer.add_string buf ", ";
+        Value.write buf v)
+      vs;
+    Buffer.add_char buf ')'
 
-let to_string op = Fmt.str "%a" pp op
+let to_string op =
+  let buf = Buffer.create 16 in
+  write buf op;
+  Buffer.contents buf
+
+(* One string token: an operation always prints on one line, whatever
+   the enclosing formatter's margin, so the notation (and the WAL built
+   on it) round-trips. *)
+let pp ppf op = Format.pp_print_string ppf (to_string op)

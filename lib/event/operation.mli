@@ -11,5 +11,9 @@ val name : t -> string
 val args : t -> Value.t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val write : Buffer.t -> t -> unit
+(** Appends [name] alone, or [name(v1, v2)] with the arguments in
+    {!Value.write} form.  {!pp} and {!to_string} print the same text. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -36,12 +36,42 @@ let rec compare v w =
     if c0 <> 0 then c0 else compare b d
   | _, _ -> Int.compare (tag v) (tag w)
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Sym s -> Fmt.string ppf s
-  | List vs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") pp) vs
-  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
+(* Decimal digits straight into the buffer, as [string_of_int] writes
+   them.  Digits are produced from the non-positive value, so [min_int]
+   needs no special case. *)
+let write_int buf n =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if n < 0 then (
+    Buffer.add_char buf '-';
+    digits n)
+  else digits (-n)
 
-let to_string v = Fmt.str "%a" pp v
+let rec write buf = function
+  | Unit -> Buffer.add_string buf "()"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> write_int buf i
+  | Sym s -> Buffer.add_string buf s
+  | List vs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_string buf "; ";
+        write buf v)
+      vs;
+    Buffer.add_char buf ']'
+  | Pair (a, b) ->
+    Buffer.add_char buf '(';
+    write buf a;
+    Buffer.add_string buf ", ";
+    write buf b;
+    Buffer.add_char buf ')'
+
+let to_string v =
+  let buf = Buffer.create 16 in
+  write buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -23,5 +23,12 @@ val insufficient_funds : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val write : Buffer.t -> t -> unit
+(** Appends the value's text: [()], [true], [-3], [ok], [[1; 2]],
+    [(k, v)].  {!pp} and {!to_string} print the same text. *)
+
+val write_int : Buffer.t -> int -> unit
+(** Appends an integer in decimal, byte for byte as [string_of_int]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

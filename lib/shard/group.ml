@@ -69,6 +69,9 @@ type t = {
       (* per shard, newest first: encoded WAL segments the truncation
          step archived instead of dropping (checkpoint.archive) *)
   ckpt_countdown : int array; (* commits until the next auto checkpoint *)
+  now : unit -> float;
+      (* wall clock in seconds for the checkpoint and recovery
+         durations; this library does not link unix *)
 }
 
 (* Stagger the first checkpoint across shards — a fleet that
@@ -78,7 +81,8 @@ type t = {
 let jittered_countdown ~every ~shards s = every + (s * every / max 1 shards)
 
 let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
-    ?(group_commit = false) ?(sync_cost = ignore) ?checkpoint ~shards () =
+    ?(group_commit = false) ?(sync_cost = ignore) ?checkpoint
+    ?(now = fun () -> 0.) ~shards () =
   if shards <= 0 then invalid_arg "Group.create: shards must be positive";
   (match checkpoint with
   | Some c when c.every <= 0 || c.retain <= 0 ->
@@ -121,6 +125,7 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
       | None -> Array.make shards 0
       | Some { every; _ } ->
         Array.init shards (jittered_countdown ~every ~shards));
+    now;
   }
 
 (* Every touch of a shard's (non-thread-safe) [Cc.System.t] goes
@@ -454,7 +459,7 @@ let checkpoint_shard ?(lose_marker = false) t s =
   if s < 0 || s >= Array.length t.shards then
     invalid_arg "Group.checkpoint_shard: shard out of range";
   if t.crashed.(s) then invalid_arg "Group.checkpoint_shard: shard is down";
-  let t0 = Sys.time () in
+  let t0 = t.now () in
   let records = shard_records t s in
   let ts_ordered = recovery_order t = Cc.Recovery.Timestamp_order in
   let ckpt =
@@ -495,7 +500,7 @@ let checkpoint_shard ?(lose_marker = false) t s =
   | None -> ()
   | Some m ->
     Weihl_obs.Shard_metrics.checkpoint_written m
-      ~duration:((Sys.time () -. t0) *. 1e6)
+      ~duration:((t.now () -. t0) *. 1e6)
       ~age);
   (match t.tracer with
   | None -> ()
@@ -961,7 +966,7 @@ let crash_shard t s =
 let recover_shard ?resolve t s text =
   if not t.crashed.(s) then
     invalid_arg "Group.recover_shard: shard is not crashed";
-  let t0 = Sys.time () in
+  let t0 = t.now () in
   let sys = Cc.System.create ~policy:t.policy () in
   Hashtbl.iter
     (fun _ (x, home, make) ->
@@ -1038,7 +1043,7 @@ let recover_shard ?resolve t s text =
       Weihl_obs.Shard_metrics.set_in_doubt m s
         (List.length (Cc.System.prepared_txns sys));
       Weihl_obs.Shard_metrics.recovery_done m
-        ~duration:((Sys.time () -. t0) *. 1e6)
+        ~duration:((t.now () -. t0) *. 1e6)
         ~records:report.Cc.Recovery.replayed_records);
     Ok report
 

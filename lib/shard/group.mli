@@ -68,6 +68,7 @@ val create :
   ?group_commit:bool ->
   ?sync_cost:(unit -> unit) ->
   ?checkpoint:checkpoint_config ->
+  ?now:(unit -> float) ->
   shards:int ->
   unit ->
   t
@@ -97,6 +98,11 @@ val create :
     behind the oldest retained checkpoint's redo point.  Without it the
     group never checkpoints on its own — {!checkpoint_shard} still
     works on demand.
+
+    [now] is the wall clock, in seconds, behind the
+    [checkpoint.write_duration] and [recovery.duration] metrics; pass
+    [Unix.gettimeofday] for real measurements.  The default is a
+    constant clock, so those durations read 0 when none is given.
 
     @raise Invalid_argument if [shards <= 0], the metrics were built
     for a different shard count, or the checkpoint config is not

@@ -65,6 +65,29 @@ let test_wal_header_is_loud () =
   | Error e -> Alcotest.fail (Fmt.str "expected header blame: %a" Wal.pp_error e)
   | Ok _ -> Alcotest.fail "damaged header must not decode"
 
+(* The CRC by its bytewise definition: the sliced table walk must agree
+   on every length, including the tails shorter than one slice. *)
+let crc32_reference s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  check_int "CRC-32 check value" 0xCBF43926 (Wal.crc32 "123456789");
+  check_int "empty" 0 (Wal.crc32 "")
+
+let crc32_matches_reference =
+  QCheck2.Test.make ~name:"crc32 agrees with the bytewise definition"
+    ~count:500
+    QCheck2.Gen.(string_size (int_bound 70))
+    (fun s -> Wal.crc32 s = crc32_reference s)
+
 (* --- Recovery from a damaged WAL ------------------------------------ *)
 
 let fresh_set_system () =
@@ -441,4 +464,6 @@ let suite =
       test_tpc_crash_matrix;
     to_alcotest wal_encodes_round_trip;
     to_alcotest wal_corruption_never_silent;
+    Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+    to_alcotest crc32_matches_reference;
   ]
